@@ -128,10 +128,13 @@ func (d *CoincidenceDetector) FirstCoincident(a, b []Sample, from ticks.T) (Samp
 }
 
 // HasCoincident reports whether b contains a spike within Window of at.
+// b must be ordered by At — every Prober's Samples are, since a Prober
+// keeps one request in flight — so the check binary-searches to at-Window
+// and scans only the samples up to at+Window.
 func (d *CoincidenceDetector) HasCoincident(b []Sample, at ticks.T) bool {
 	lo, hi := at-d.Window, at+d.Window
-	for _, sb := range b {
-		if sb.At >= lo && sb.At <= hi && sb.Latency > d.ThrB {
+	for i := sort.Search(len(b), func(i int) bool { return b[i].At >= lo }); i < len(b) && b[i].At <= hi; i++ {
+		if b[i].Latency > d.ThrB {
 			return true
 		}
 	}

@@ -105,6 +105,11 @@ type Sample struct {
 // the receiver side of every PRACLeak attack. With a single row it probes
 // open-page style (row hits, no activation-count growth); with several rows
 // it cycles through them, generating one activation per access.
+//
+// A Prober keeps exactly one request in flight, so Samples is ordered by
+// At, and the in-flight request's issue time and row live in fields: the
+// completion and reissue funcs are bound once in NewProber, and probing
+// allocates nothing per request.
 type Prober struct {
 	env   *Env
 	bank  int
@@ -113,6 +118,11 @@ type Prober struct {
 	gap   ticks.T
 	stop  bool
 	onOdd func(s Sample) // optional per-sample hook
+
+	arrive   ticks.T // issue time of the request in flight
+	row      int     // row of the request in flight
+	complete func(at ticks.T)
+	reissue  func(ticks.T)
 
 	Samples []Sample
 	// PerRowIssued counts probe reads issued per probed row index.
@@ -125,19 +135,23 @@ func NewProber(env *Env, bank int, rows []int, gap ticks.T) (*Prober, error) {
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("attack: prober needs at least one row")
 	}
-	return &Prober{
+	p := &Prober{
 		env:          env,
 		bank:         bank,
 		rows:         rows,
 		gap:          gap,
 		PerRowIssued: make(map[int]int),
-	}, nil
+	}
+	p.complete = p.onComplete
+	p.reissue = func(ticks.T) { p.issueNext() }
+	return p, nil
 }
 
 // OnSample registers a hook invoked for every recorded sample.
 func (p *Prober) OnSample(fn func(s Sample)) { p.onOdd = fn }
 
-// Start begins probing; it keeps exactly one request in flight.
+// Start begins probing; it keeps exactly one request in flight. It must
+// not be called while a request from an earlier Start is still in flight.
 func (p *Prober) Start() {
 	p.stop = false
 	p.issueNext()
@@ -150,28 +164,33 @@ func (p *Prober) issueNext() {
 	if p.stop {
 		return
 	}
-	row := p.rows[p.idx%len(p.rows)]
+	p.row = p.rows[p.idx%len(p.rows)]
 	p.idx++
-	arrive := p.env.Eng.Now()
-	ok := p.env.Read(p.bank, row, 0, func(at ticks.T) {
-		s := Sample{At: arrive, Latency: at - arrive, Row: row}
-		p.Samples = append(p.Samples, s)
-		p.PerRowIssued[row]++
-		if p.onOdd != nil {
-			p.onOdd(s)
-		}
-		p.env.Eng.At(at+p.gap, func(ticks.T) { p.issueNext() })
-	})
-	if !ok {
+	p.arrive = p.env.Eng.Now()
+	if !p.env.Read(p.bank, p.row, 0, p.complete) {
 		p.env.RetryAt(p.issueNext)
 	}
+}
+
+// onComplete records the in-flight request's sample and schedules the
+// next probe one gap after its data returns.
+func (p *Prober) onComplete(at ticks.T) {
+	s := Sample{At: p.arrive, Latency: at - p.arrive, Row: p.row}
+	p.Samples = append(p.Samples, s)
+	p.PerRowIssued[p.row]++
+	if p.onOdd != nil {
+		p.onOdd(s)
+	}
+	p.env.Eng.At(at+p.gap, p.reissue)
 }
 
 // Hammerer generates activations on a target row by alternating reads with
 // decoy rows in the same bank (guaranteed row-buffer conflicts) — the
 // sender side of the attacks. Requests chain at column-command issue time,
 // so the PRE/ACT turnaround overlaps the data burst and the activation rate
-// stays close to the tRC limit, as in a real hammering loop.
+// stays close to the tRC limit, as in a real hammering loop. Like a
+// Prober it keeps one request in flight with its completion func bound
+// once, so hammering allocates nothing per request.
 type Hammerer struct {
 	env    *Env
 	bank   int
@@ -188,6 +207,9 @@ type Hammerer struct {
 	seqIdx      int
 	onDone      func()
 	active      bool
+
+	isTarget bool // the request in flight reads the target row
+	complete func(ticks.T)
 }
 
 // NewHammerer builds a hammerer for (bank, target) using the given decoys.
@@ -200,7 +222,9 @@ func NewHammerer(env *Env, bank, target int, decoys []int) (*Hammerer, error) {
 			return nil, fmt.Errorf("attack: decoy row %d equals target", d)
 		}
 	}
-	return &Hammerer{env: env, bank: bank, target: target, decoys: decoys}, nil
+	h := &Hammerer{env: env, bank: bank, target: target, decoys: decoys}
+	h.complete = h.onComplete
+	return h, nil
 }
 
 // Hammer performs n target activations, then calls onDone (which may be
@@ -245,24 +269,26 @@ func (h *Hammerer) pump() {
 	if h.seqIdx >= len(h.seq) {
 		return
 	}
-	row := h.seq[h.seqIdx]
-	isTarget := h.seqIsTarget[h.seqIdx]
-	ok := h.env.Read(h.bank, row, 0, func(ticks.T) {
-		if isTarget {
-			h.TargetReads++
-		}
-		if h.seqIdx >= len(h.seq) {
-			h.active = false
-			if h.onDone != nil {
-				h.onDone()
-			}
-			return
-		}
-		h.pump()
-	})
-	if !ok {
+	h.isTarget = h.seqIsTarget[h.seqIdx]
+	if !h.env.Read(h.bank, h.seq[h.seqIdx], 0, h.complete) {
 		h.env.RetryAt(h.pump)
 		return
 	}
 	h.seqIdx++
+}
+
+// onComplete counts the in-flight read and chains the next one, or ends
+// the run after the last.
+func (h *Hammerer) onComplete(ticks.T) {
+	if h.isTarget {
+		h.TargetReads++
+	}
+	if h.seqIdx >= len(h.seq) {
+		h.active = false
+		if h.onDone != nil {
+			h.onDone()
+		}
+		return
+	}
+	h.pump()
 }

@@ -226,6 +226,7 @@ func RunAESAttack(cfg AESConfig) (AESResult, error) {
 // of each encryption as chained DRAM reads.
 func runVictim(env *Env, cipher *aes.Cipher, cfg AESConfig, rng *rand.Rand) error {
 	pt := make([]byte, aes.BlockSize)
+	chain := newVictimChain(env)
 	for enc := 0; enc < cfg.Encryptions; enc++ {
 		rng.Read(pt)
 		pt[cfg.TargetByte] = cfg.Plaintext
@@ -233,30 +234,56 @@ func runVictim(env *Env, cipher *aes.Cipher, cfg AESConfig, rng *rand.Rand) erro
 		if err != nil {
 			return err
 		}
-		done := false
-		issueChain(env, accs, 0, &done)
+		chain.start(accs)
 		deadline := env.Eng.Now() + ticks.FromUS(40)
-		for !done && env.Eng.Now() < deadline {
+		for !chain.done && env.Eng.Now() < deadline {
 			env.Run(env.Eng.Now() + ticks.FromUS(1))
 		}
-		if !done {
+		if !chain.done {
 			return fmt.Errorf("attack: victim encryption %d stalled", enc)
 		}
 	}
 	return nil
 }
 
-func issueChain(env *Env, accs []aes.FirstRoundAccess, i int, done *bool) {
-	if i >= len(accs) {
-		*done = true
+// victimChain issues one encryption's first-round accesses as dependent
+// DRAM reads, each issued when the previous one's data returns. One read
+// is in flight at a time, so its funcs are bound once and the chain
+// allocates nothing per access.
+type victimChain struct {
+	env  *Env
+	accs []aes.FirstRoundAccess
+	i    int // index of the access in flight
+	done bool
+
+	complete func(at ticks.T)
+	advance  func(ticks.T)
+}
+
+func newVictimChain(env *Env) *victimChain {
+	c := &victimChain{env: env}
+	c.complete = func(at ticks.T) { c.env.Eng.At(at, c.advance) }
+	c.advance = func(ticks.T) {
+		c.i++
+		c.issueCurrent()
+	}
+	return c
+}
+
+// start begins the chain over accs.
+func (c *victimChain) start(accs []aes.FirstRoundAccess) {
+	c.accs, c.i, c.done = accs, 0, false
+	c.issueCurrent()
+}
+
+func (c *victimChain) issueCurrent() {
+	if c.i >= len(c.accs) {
+		c.done = true
 		return
 	}
-	row := tableRow(accs[i].Table, accs[i].Line())
-	ok := env.Read(victimBank, row, 0, func(at ticks.T) {
-		env.Eng.At(at, func(ticks.T) { issueChain(env, accs, i+1, done) })
-	})
-	if !ok {
-		env.RetryAt(func() { issueChain(env, accs, i, done) })
+	row := tableRow(c.accs[c.i].Table, c.accs[c.i].Line())
+	if !c.env.Read(victimBank, row, 0, c.complete) {
+		c.env.RetryAt(c.issueCurrent)
 	}
 }
 

@@ -208,65 +208,73 @@ func (m *Module) NextMaintenance(ticks.T) ticks.T {
 	return m.nextCounterReset
 }
 
-// CanIssue reports whether cmd is legal at time now under all timing
-// constraints and blocking conditions.
-func (m *Module) CanIssue(cmd Cmd, now ticks.T) bool {
-	if now < m.channelBlockedUntil {
-		return false
-	}
+// ReadyAt reports the earliest time the current timing and blocking state
+// allows cmd, or ticks.Never when the bank state forbids it outright (ACT
+// to an open bank, PRE/RD/WR to an idle one, REFab/RFMab while a bank in
+// their scope is open). The answer holds until the next Issue: every
+// constraint is a lower bound on time, so cmd stays legal from ReadyAt
+// on. A demand-driven controller sleeps until the earliest ReadyAt among
+// its candidate commands.
+func (m *Module) ReadyAt(cmd Cmd) ticks.T {
+	at := m.channelBlockedUntil
 	switch cmd.Kind {
 	case CmdACT:
 		b := &m.banks[cmd.Bank]
-		return b.state == bankIdle &&
-			now >= b.actReadyAt &&
-			now >= b.blockedUntil &&
-			now >= m.rankBlockedUntil[m.cfg.Org.RankOf(cmd.Bank)]
+		if b.state != bankIdle {
+			return ticks.Never
+		}
+		return max(at, b.actReadyAt, b.blockedUntil, m.rankBlockedUntil[m.cfg.Org.RankOf(cmd.Bank)])
 	case CmdPRE:
 		b := &m.banks[cmd.Bank]
-		return b.state == bankActive && now >= b.preReadyAt
+		if b.state != bankActive {
+			return ticks.Never
+		}
+		return max(at, b.preReadyAt)
 	case CmdRD, CmdWR:
 		// The shared data bus is modeled as a serialized resource in
 		// Issue: a burst that would collide queues behind the previous
 		// one instead of blocking the command, so only bank state and
 		// tRCD gate legality here.
 		b := &m.banks[cmd.Bank]
-		if b.state != bankActive || now < b.rwReadyAt || now < b.blockedUntil {
-			return false
+		if b.state != bankActive {
+			return ticks.Never
 		}
-		return now >= m.rankBlockedUntil[m.cfg.Org.RankOf(cmd.Bank)]
+		return max(at, b.rwReadyAt, b.blockedUntil, m.rankBlockedUntil[m.cfg.Org.RankOf(cmd.Bank)])
 	case CmdREFab:
 		rank := cmd.Bank
-		if now < m.rankBlockedUntil[rank] {
-			return false
-		}
+		at = max(at, m.rankBlockedUntil[rank])
 		lo := rank * m.cfg.Org.BanksPerRank()
 		for i := lo; i < lo+m.cfg.Org.BanksPerRank(); i++ {
-			if m.banks[i].state != bankIdle || now < m.banks[i].actReadyAt {
-				return false
+			if m.banks[i].state != bankIdle {
+				return ticks.Never
 			}
+			at = max(at, m.banks[i].actReadyAt)
 		}
-		return true
+		return at
 	case CmdRFMab:
 		for i := range m.banks {
 			if m.banks[i].state != bankIdle {
-				return false
+				return ticks.Never
 			}
 		}
-		for r := range m.rankBlockedUntil {
-			if now < m.rankBlockedUntil[r] {
-				return false
-			}
+		for _, until := range m.rankBlockedUntil {
+			at = max(at, until)
 		}
-		return true
+		return at
 	case CmdRFMpb:
 		b := &m.banks[cmd.Bank]
-		return b.state == bankIdle &&
-			now >= b.blockedUntil &&
-			now >= m.rankBlockedUntil[m.cfg.Org.RankOf(cmd.Bank)]
+		if b.state != bankIdle {
+			return ticks.Never
+		}
+		return max(at, b.blockedUntil, m.rankBlockedUntil[m.cfg.Org.RankOf(cmd.Bank)])
 	default:
-		return false
+		return ticks.Never
 	}
 }
+
+// CanIssue reports whether cmd is legal at time now under all timing
+// constraints and blocking conditions.
+func (m *Module) CanIssue(cmd Cmd, now ticks.T) bool { return m.ReadyAt(cmd) <= now }
 
 // Issue commits a command at time now. The command must be legal; Issue
 // panics otherwise, because an illegal command indicates a controller bug

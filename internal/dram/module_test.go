@@ -18,14 +18,40 @@ func smallConfig(nbo int) Config {
 	return cfg
 }
 
+// wantReady checks ReadyAt for each command against the timing table.
+func wantReady(t *testing.T, m *Module, when string, want map[Cmd]ticks.T) {
+	t.Helper()
+	for cmd, at := range want {
+		if got := m.ReadyAt(cmd); got != at {
+			t.Errorf("%s: ReadyAt(%v bank %d) = %v, want %v", when, cmd.Kind, cmd.Bank, got, at)
+		}
+	}
+}
+
 func TestActivateReadPrechargeTiming(t *testing.T) {
 	m := MustNew(smallConfig(1024))
 	tm := m.Config().Timing
 
+	wantReady(t, m, "idle bank", map[Cmd]ticks.T{
+		{Kind: CmdACT, Bank: 0, Row: 1}: 0,
+		{Kind: CmdPRE, Bank: 0}:         ticks.Never,
+		{Kind: CmdRD, Bank: 0}:          ticks.Never,
+		{Kind: CmdWR, Bank: 0}:          ticks.Never,
+	})
 	if !m.CanIssue(Cmd{Kind: CmdACT, Bank: 0, Row: 1}, 0) {
 		t.Fatal("ACT to idle bank at t=0 must be legal")
 	}
 	m.Issue(Cmd{Kind: CmdACT, Bank: 0, Row: 1}, 0)
+	wantReady(t, m, "after ACT", map[Cmd]ticks.T{
+		{Kind: CmdACT, Bank: 0, Row: 2}: ticks.Never,
+		{Kind: CmdRD, Bank: 0}:          tm.TRCD,
+		{Kind: CmdWR, Bank: 0}:          tm.TRCD,
+		{Kind: CmdPRE, Bank: 0}:         tm.TRAS,
+		{Kind: CmdREFab, Bank: 0}:       ticks.Never,
+		{Kind: CmdRFMab}:                ticks.Never,
+		{Kind: CmdRFMpb, Bank: 0}:       ticks.Never,
+		{Kind: CmdACT, Bank: 1, Row: 1}: 0,
+	})
 
 	if m.CanIssue(Cmd{Kind: CmdRD, Bank: 0}, tm.TRCD-1) {
 		t.Error("RD legal before tRCD")
@@ -40,6 +66,7 @@ func TestActivateReadPrechargeTiming(t *testing.T) {
 	}
 
 	preAt := tm.TRCD + tm.TRTP // tRAS(16ns) < tRCD+tRTP(21ns)
+	wantReady(t, m, "after RD", map[Cmd]ticks.T{{Kind: CmdPRE, Bank: 0}: preAt})
 	if m.CanIssue(Cmd{Kind: CmdPRE, Bank: 0}, preAt-1) {
 		t.Error("PRE legal before read-to-precharge window")
 	}
@@ -47,6 +74,12 @@ func TestActivateReadPrechargeTiming(t *testing.T) {
 		t.Error("PRE illegal at tRCD+tRTP")
 	}
 	m.Issue(Cmd{Kind: CmdPRE, Bank: 0}, preAt)
+	wantReady(t, m, "after PRE", map[Cmd]ticks.T{
+		{Kind: CmdACT, Bank: 0, Row: 2}: preAt + tm.TRP, // later than tRC after the ACT
+		{Kind: CmdPRE, Bank: 0}:         ticks.Never,
+		{Kind: CmdRD, Bank: 0}:          ticks.Never,
+		{Kind: CmdREFab, Bank: 0}:       preAt + tm.TRP,
+	})
 
 	if m.CanIssue(Cmd{Kind: CmdACT, Bank: 0, Row: 2}, preAt+tm.TRP-1) {
 		t.Error("ACT legal before tRP after PRE")
@@ -62,6 +95,7 @@ func TestTRCSameBank(t *testing.T) {
 	m.Issue(Cmd{Kind: CmdACT, Bank: 0, Row: 0}, 0)
 	m.Issue(Cmd{Kind: CmdPRE, Bank: 0}, tm.TRAS)
 	// After tRAS(16)+tRP(36)=52ns = tRC, so both constraints coincide here.
+	wantReady(t, m, "after ACT+PRE", map[Cmd]ticks.T{{Kind: CmdACT, Bank: 0, Row: 1}: tm.TRC})
 	if m.CanIssue(Cmd{Kind: CmdACT, Bank: 0, Row: 1}, tm.TRC-1) {
 		t.Error("ACT legal before tRC")
 	}
@@ -178,8 +212,19 @@ func TestRFMabRequiresIdleBanksAndBlocksChannel(t *testing.T) {
 	if m.CanIssue(Cmd{Kind: CmdRFMab}, 1) {
 		t.Fatal("RFMab legal with an open row")
 	}
+	wantReady(t, m, "open row", map[Cmd]ticks.T{{Kind: CmdRFMab}: ticks.Never})
 	m.Issue(Cmd{Kind: CmdPRE, Bank: 0}, tm.TRAS)
+	if at := m.ReadyAt(Cmd{Kind: CmdRFMab}); at > tm.TRAS+1 {
+		t.Fatalf("ReadyAt(RFMab) = %v once every bank is idle, want by %v", at, tm.TRAS+1)
+	}
 	m.Issue(Cmd{Kind: CmdRFMab}, tm.TRAS+1)
+	end := tm.TRAS + 1 + tm.TRFMab
+	wantReady(t, m, "during RFMab", map[Cmd]ticks.T{
+		{Kind: CmdACT, Bank: 1, Row: 0}: end,
+		{Kind: CmdRFMab}:                end,
+		{Kind: CmdRFMpb, Bank: 2}:       end,
+		{Kind: CmdREFab, Bank: 0}:       end,
+	})
 	if m.CanIssue(Cmd{Kind: CmdACT, Bank: 1, Row: 0}, tm.TRAS+tm.TRFMab) {
 		t.Error("ACT legal during RFM channel block")
 	}
@@ -221,10 +266,18 @@ func TestREFabBlocksRankOnly(t *testing.T) {
 	m := MustNew(cfg)
 	tm := m.Config().Timing
 	m.Issue(Cmd{Kind: CmdREFab, Bank: 0}, 0) // rank 0
+	otherRank := cfg.Org.BanksPerRank()      // first bank of rank 1
+	wantReady(t, m, "during REFab", map[Cmd]ticks.T{
+		{Kind: CmdACT, Bank: 0, Row: 0}:         tm.TRFC,
+		{Kind: CmdRFMpb, Bank: 1}:               tm.TRFC,
+		{Kind: CmdREFab, Bank: 0}:               tm.TRFC,
+		{Kind: CmdRFMab}:                        tm.TRFC, // the whole channel waits for every rank
+		{Kind: CmdACT, Bank: otherRank, Row: 0}: 0,
+		{Kind: CmdREFab, Bank: 1}:               0,
+	})
 	if m.CanIssue(Cmd{Kind: CmdACT, Bank: 0, Row: 0}, tm.TRFC-1) {
 		t.Error("ACT to refreshing rank legal before tRFC")
 	}
-	otherRank := cfg.Org.BanksPerRank() // first bank of rank 1
 	if !m.CanIssue(Cmd{Kind: CmdACT, Bank: otherRank, Row: 0}, 1) {
 		t.Error("ACT to non-refreshing rank blocked by REFab")
 	}

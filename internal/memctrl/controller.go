@@ -74,6 +74,9 @@ type Controller struct {
 	dcfg   dram.Config // mod.Config(), read once: the module's config never changes
 	mapper AddressMapper
 	policy mitigation.Policy
+	// pbPolicy is policy as a PerBankPolicy, resolved once in New; nil
+	// when the policy issues no per-bank RFMs.
+	pbPolicy mitigation.PerBankPolicy
 
 	// The queues hold requests by value in age order. Their capacity is
 	// the configured cap, allocated once, so enqueueing never allocates
@@ -109,8 +112,8 @@ type Controller struct {
 	// of the write queue.
 	writeLines map[uint64]int
 
-	// waker, when set, is called as a request lands in an empty controller
-	// (see SetWaker) so a demand-driven clock can resume ticking.
+	// waker, when set, is called as each request is queued (see
+	// SetWaker) so a demand-driven clock can pull its next tick forward.
 	waker func(now ticks.T)
 
 	stats Stats
@@ -144,6 +147,7 @@ func New(cfg Config, mod *dram.Module, mapper AddressMapper, policy mitigation.P
 		triedBank:  make([]uint64, org.Banks()),
 		writeLines: make(map[uint64]int),
 	}
+	c.pbPolicy, _ = policy.(mitigation.PerBankPolicy)
 	for r := range c.nextRefAt {
 		// Stagger rank refreshes across the tREFI period, as real
 		// controllers do, so refresh blackouts do not align.
@@ -167,10 +171,14 @@ func (c *Controller) Policy() mitigation.Policy { return c.policy }
 // QueueLen reports current read and write queue occupancy.
 func (c *Controller) QueueLen() (reads, writes int) { return len(c.readQ), len(c.writeQ) }
 
-// SetWaker registers fn, invoked when a request is accepted into a
-// previously empty controller — the only event that can create work for a
-// quiescent controller between its self-computed maintenance deadlines.
-// Demand-driven clocks use it to resume a parked controller ticker.
+// SetWaker registers fn, invoked whenever Enqueue queues a request — the
+// only event that can create work for the controller between the times
+// NextWork computed. A request can become serviceable before the command
+// the controller was sleeping towards, so the waker fires on every queued
+// request, not only on the empty-to-occupied transition. Demand-driven
+// clocks use it to pull a parked or deferred controller ticker up to the
+// next cycle. A read served by write forwarding queues nothing and does
+// not fire it.
 func (c *Controller) SetWaker(fn func(now ticks.T)) { c.waker = fn }
 
 // Enqueue presents a request to the controller. It reports false when the
@@ -184,7 +192,7 @@ func (c *Controller) Enqueue(req *Request, now ticks.T) bool {
 		c.writeQ = append(c.writeQ, c.admit(req, now))
 		c.writeLines[req.Line]++
 		c.stats.Writes++
-		c.wakeIfIdle(now)
+		c.wake(now)
 		return true
 	}
 	// Read-after-write forwarding: pending writes hold the freshest data.
@@ -201,7 +209,7 @@ func (c *Controller) Enqueue(req *Request, now ticks.T) bool {
 	}
 	c.readQ = append(c.readQ, c.admit(req, now))
 	c.stats.Reads++
-	c.wakeIfIdle(now)
+	c.wake(now)
 	return true
 }
 
@@ -217,10 +225,9 @@ func (c *Controller) admit(req *Request, now ticks.T) Request {
 	}
 }
 
-// wakeIfIdle fires the waker when the request just accepted is the only
-// queued work — any other occupancy means the controller is already awake.
-func (c *Controller) wakeIfIdle(now ticks.T) {
-	if c.waker != nil && len(c.readQ)+len(c.writeQ) == 1 {
+// wake fires the waker for a request just queued.
+func (c *Controller) wake(now ticks.T) {
+	if c.waker != nil {
 		c.waker(now)
 	}
 }
@@ -237,40 +244,117 @@ func (c *Controller) Tick(now ticks.T) {
 	c.schedule(now)
 }
 
-// NextWork reports a conservative earliest time the controller could
-// possibly have work, assuming no new requests arrive: now+CyclePeriod
-// while any demand or maintenance work is pending (commands may become
-// legal any cycle as timing windows expire), otherwise the earliest
-// time-driven maintenance deadline — refresh accrual, the policy's next
-// scheduled RFM, or the DRAM's next housekeeping action — and ticks.Never
-// when none exists. Every controller cycle strictly before the reported
-// time is provably a no-op, so a demand-driven clock may skip it; a
-// request arriving earlier re-arms the clock through SetWaker.
+// NextWork reports the earliest time, after now, at which the controller
+// could possibly change state, assuming no new requests arrive. It is the
+// minimum of
+//
+//   - the earliest time the DRAM allows any command the controller might
+//     issue (dram.Module.ReadyAt): each queued request's next command (RD
+//     or WR to its open row, PRE of another open row, ACT of an idle
+//     bank), and the pending maintenance commands (RFMab, RFMpb, REFab, or
+//     a PRE that drains their scope);
+//   - the time-driven deadlines: refresh accrual, the policy's next
+//     scheduled RFM and the DRAM's next housekeeping action;
+//
+// clamped to at least now+CyclePeriod, or ticks.Never when none exists.
+// The candidate set over-approximates what may actually issue — it
+// ignores the FR-FCFS cap and the banks maintenance holds quiescent — which
+// only ever wakes the controller early. Two states change without a
+// command issuing and so keep the answer at the next cycle: an asserted
+// Alert (the tABOACT budget and deadline advance on their own) and a
+// pending flip of the write-drain mode. Every controller cycle strictly
+// before the reported time is provably a no-op, so a demand-driven clock
+// may skip it; a request arriving earlier re-arms the clock through
+// SetWaker.
 func (c *Controller) NextWork(now ticks.T) ticks.T {
-	if len(c.readQ) > 0 || len(c.writeQ) > 0 ||
-		c.rfmPending > 0 || len(c.pbPending) > 0 ||
-		c.aboRFMs > 0 || c.aboQueued || c.aboDeadln != 0 ||
-		c.mod.AlertAsserted() {
-		return now + CyclePeriod
+	soon := now + CyclePeriod
+	if c.mod.AlertAsserted() || c.drainModeFlips() {
+		return soon
 	}
-	next := ticks.Never
+	next := c.earliestCommand(soon)
+	if next <= soon {
+		return soon // the common answer under load: skip the deadlines
+	}
+	next = min(next, c.policy.NextDue(now), c.mod.NextMaintenance(now))
 	if !c.cfg.NoRefresh {
-		for r, d := range c.refDebt {
-			if d > 0 {
-				return now + CyclePeriod
-			}
-			if at := c.nextRefAt[r]; at < next {
-				next = at
+		for _, at := range c.nextRefAt {
+			next = min(next, at)
+		}
+	}
+	return max(next, soon)
+}
+
+// drainModeFlips reports whether schedule's next call will switch the
+// write-drain mode: a state change with no command attached.
+func (c *Controller) drainModeFlips() bool {
+	if c.draining {
+		return len(c.writeQ) <= c.cfg.WriteLo
+	}
+	return len(c.writeQ) >= c.cfg.WriteHi
+}
+
+// earliestCommand reports the earliest ReadyAt among the commands the
+// controller might issue next: each queued request's next command, then
+// the pending maintenance commands. It stops searching once a candidate
+// is ready by floor, since NextWork never answers earlier than that.
+// Requests are scanned youngest first: FR-FCFS serves ready requests
+// quickly, so the old ones are mostly those still waiting, and a
+// saturated queue finds a ready candidate within a few entries.
+func (c *Controller) earliestCommand(floor ticks.T) ticks.T {
+	next := ticks.Never
+	for _, q := range [2][]Request{c.readQ, c.writeQ} {
+		for i := len(q) - 1; i >= 0; i-- {
+			next = min(next, c.mod.ReadyAt(c.nextCommand(&q[i])))
+			if next <= floor {
+				return next
 			}
 		}
 	}
-	if at := c.policy.NextDue(now); at < next {
-		next = at
+	org := &c.dcfg.Org
+	if c.rfmPending > 0 || c.aboRFMs > 0 {
+		next = min(next, c.mod.ReadyAt(dram.Cmd{Kind: dram.CmdRFMab}), c.earliestDrain(0, org.Banks()))
 	}
-	if at := c.mod.NextMaintenance(now); at < next {
-		next = at
+	for _, b := range c.pbPending {
+		next = min(next,
+			c.mod.ReadyAt(dram.Cmd{Kind: dram.CmdRFMpb, Bank: b}),
+			c.mod.ReadyAt(dram.Cmd{Kind: dram.CmdPRE, Bank: b}))
+	}
+	for r, debt := range c.refDebt {
+		if debt > 0 {
+			lo := r * org.BanksPerRank()
+			next = min(next,
+				c.mod.ReadyAt(dram.Cmd{Kind: dram.CmdREFab, Bank: r}),
+				c.earliestDrain(lo, lo+org.BanksPerRank()))
+		}
 	}
 	return next
+}
+
+// earliestDrain reports the earliest PRE among the open banks in [lo, hi).
+func (c *Controller) earliestDrain(lo, hi int) ticks.T {
+	next := ticks.Never
+	for b := lo; b < hi; b++ {
+		next = min(next, c.mod.ReadyAt(dram.Cmd{Kind: dram.CmdPRE, Bank: b}))
+	}
+	return next
+}
+
+// nextCommand returns the command that moves r forward from its bank's
+// current state: its column access if its row is open, a PRE if another
+// row is, an ACT otherwise.
+func (c *Controller) nextCommand(r *Request) dram.Cmd {
+	b := r.loc.Bank
+	row, open := c.mod.OpenRow(b)
+	switch {
+	case !open:
+		return dram.Cmd{Kind: dram.CmdACT, Bank: b, Row: r.loc.Row}
+	case row != r.loc.Row:
+		return dram.Cmd{Kind: dram.CmdPRE, Bank: b}
+	case r.Write:
+		return dram.Cmd{Kind: dram.CmdWR, Bank: b}
+	default:
+		return dram.Cmd{Kind: dram.CmdRD, Bank: b}
+	}
 }
 
 // accrueMaintenance updates refresh debt, proactive-RFM debt and the Alert
@@ -287,8 +371,8 @@ func (c *Controller) accrueMaintenance(now ticks.T) {
 	}
 
 	c.rfmPending += c.policy.Due(now)
-	if pb, ok := c.policy.(mitigation.PerBankPolicy); ok {
-		c.pbPending = append(c.pbPending, pb.DuePerBank(now)...)
+	if c.pbPolicy != nil {
+		c.pbPending = c.pbPolicy.DuePerBank(c.pbPending, now)
 	}
 
 	// Alert Back-Off: when the DRAM asserts Alert, the controller may
@@ -354,7 +438,9 @@ func (c *Controller) serviceMaintenance(now ticks.T) bool {
 		cmd := dram.Cmd{Kind: dram.CmdRFMpb, Bank: b}
 		if c.mod.CanIssue(cmd, now) {
 			c.mod.Issue(cmd, now)
-			c.pbPending = c.pbPending[1:]
+			// Shift rather than reslice, so the buffer keeps its
+			// capacity for DuePerBank to append into.
+			c.pbPending = c.pbPending[:copy(c.pbPending, c.pbPending[1:])]
 			c.stats.PolicyRFMs++
 			return true
 		}

@@ -11,8 +11,10 @@ import (
 // Section 7.2 extension, which it leaves to future work.
 type PerBankPolicy interface {
 	Policy
-	// DuePerBank reports the banks whose per-bank RFM is due at now.
-	DuePerBank(now ticks.T) []int
+	// DuePerBank appends to dst the banks whose per-bank RFM is due at
+	// now and returns the extended slice, so a caller that reuses one
+	// buffer pays no allocation per due RFM.
+	DuePerBank(dst []int, now ticks.T) []int
 }
 
 // TPRACPerBank is Timing-Based RFM built on RFMpb: within each TB-Window it
@@ -67,15 +69,14 @@ func (p *TPRACPerBank) NextDue(now ticks.T) ticks.T {
 
 // DuePerBank implements PerBankPolicy: one bank per window/banks interval,
 // in a fixed rotation that is independent of memory activity.
-func (p *TPRACPerBank) DuePerBank(now ticks.T) []int {
-	var due []int
+func (p *TPRACPerBank) DuePerBank(dst []int, now ticks.T) []int {
 	for now >= p.next {
-		due = append(due, p.cursor)
+		dst = append(dst, p.cursor)
 		p.cursor = (p.cursor + 1) % p.banks
 		p.next += p.step
 		p.issued++
 	}
-	return due
+	return dst
 }
 
 // OnActivate implements Policy; scheduling is activity-independent.

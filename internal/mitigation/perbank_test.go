@@ -15,7 +15,7 @@ func TestPerBankRotation(t *testing.T) {
 	step := window / 4
 	var order []int
 	for i := 1; i <= 8; i++ {
-		order = append(order, p.DuePerBank(step*ticks.T(i))...)
+		order = p.DuePerBank(order, step*ticks.T(i))
 	}
 	want := []int{0, 1, 2, 3, 0, 1, 2, 3}
 	if len(order) != len(want) {
@@ -40,7 +40,7 @@ func TestPerBankRatePerBank(t *testing.T) {
 	counts := make([]int, 8)
 	horizon := 20 * window
 	for at := ticks.T(0); at <= horizon; at += window / 64 {
-		for _, b := range p.DuePerBank(at) {
+		for _, b := range p.DuePerBank(nil, at) {
 			counts[b]++
 		}
 	}

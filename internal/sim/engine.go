@@ -25,6 +25,9 @@ type Engine struct {
 	stopped bool
 	steps   int64
 	firing  int // id of the ticker currently running its callback, -1 otherwise
+	// done is the last timestep Run finished processing: every ticker slot
+	// up to it is spent, even for a ticker that was parked or deferred.
+	done ticks.T
 }
 
 // Ticker is a handle to a periodic callback, returned by AddTicker and
@@ -196,7 +199,7 @@ func (h *tickerHeap) remove(t *Ticker) {
 }
 
 // NewEngine returns an engine at time zero.
-func NewEngine() *Engine { return &Engine{firing: -1} }
+func NewEngine() *Engine { return &Engine{firing: -1, done: -1} }
 
 // Now reports the current simulated time.
 func (e *Engine) Now() ticks.T { return e.now }
@@ -252,6 +255,9 @@ func (e *Engine) PauseTicker(t *Ticker) {
 // registration order has already gone by is never reused, so wakeups
 // triggered by later-registered tickers land on the next slot — again
 // exactly what a ticker that had been ticking all along would observe.
+// The same holds between Run calls: once Run has returned, its final
+// timestep is over, and a wakeup from outside Run lands one period after
+// it.
 //
 // It serves both directions: deferring past provably-idle cycles
 // (fast-forward) and pulling a deferred or paused ticker back up when an
@@ -284,6 +290,11 @@ func (e *Engine) nextSlot(t *Ticker, at ticks.T) ticks.T {
 		// The tick phase of this timestep already moved past t's slot
 		// (tickers fire in registration order): the per-cycle baseline
 		// would next serve t one period later.
+		next += t.period
+	}
+	if next <= e.done {
+		// Called between Run calls, at the timestep the last Run finished:
+		// the baseline's tick there has already happened.
 		next += t.period
 	}
 	return next
@@ -323,6 +334,7 @@ func (e *Engine) Run(until ticks.T) {
 		}
 		if next > until {
 			e.now = until
+			e.done = until
 			return
 		}
 		e.now = next
@@ -340,4 +352,5 @@ func (e *Engine) Run(until ticks.T) {
 		}
 		e.firing = -1
 	}
+	e.done = e.now // stopped: the present timestep finished processing
 }

@@ -36,6 +36,30 @@ func TestPauseStopsFiringResumeRealigns(t *testing.T) {
 	}
 }
 
+// TestWakeBetweenRunsSkipsSpentSlot covers a wakeup from outside Run:
+// after Run(8) the timestep 8 is over, and a ticker ticking all along
+// would have fired there before the wakeup, so a parked ticker woken at 8
+// must next fire at 12, not at 8 a second time. Before the first Run no
+// timestep is spent, and a wakeup at 0 fires at 0.
+func TestWakeBetweenRunsSkipsSpentSlot(t *testing.T) {
+	e := NewEngine()
+	var times []ticks.T
+	var tk *Ticker
+	tk = e.AddTicker(4, 0, func(now ticks.T) {
+		times = append(times, now)
+		e.PauseTicker(tk)
+	})
+	e.PauseTicker(tk)
+	e.RescheduleTicker(tk, 0) // before any Run: slot 0 is still open
+	e.Run(8)
+	e.RescheduleTicker(tk, e.Now())
+	e.Run(20)
+	want := []ticks.T{0, 12}
+	if len(times) != len(want) || times[0] != want[0] || times[1] != want[1] {
+		t.Fatalf("fired at %v, want %v", times, want)
+	}
+}
+
 func TestPauseTwiceAndResumeRemovedTickerAreSafe(t *testing.T) {
 	e := NewEngine()
 	count := 0
