@@ -1,5 +1,6 @@
 // Command pracstored serves a content-addressed run store over HTTP, so
-// a dispatch fleet (tpracsim -dispatch N -store http://host:8420), a CI
+// the pull children of a dispatch fleet (tpracsim -dispatch N -store
+// http://host:8420, each child reading through its own local tier), a CI
 // matrix or several experiment campaigns share one warm store instead of
 // each machine re-executing the same grid.
 //

@@ -13,11 +13,14 @@
 // Grids also shard across machines: -shard i/n executes only the i-th
 // deterministic slice of the run keys and writes the results to a shard
 // file (-shardout); -merge imports the shard files and assembles the
-// figures without simulating, bit-identical to an unsharded run. The
-// -dispatch driver automates the whole workflow: it spawns n shard
-// workers (re-execing this binary, or any fleet via -dispatch-cmd),
-// retries failures and stragglers on other worker slots, auto-merges
-// the shard files and renders the figures in one command.
+// figures without simulating, bit-identical to an unsharded run.
+// -dispatch N automates the whole workflow in one command: it serves a
+// pracsimd job queue in process on loopback, submits the grid as N shard
+// work items, and spawns N pull children (`-pull`, re-execing this
+// binary or any fleet via -dispatch-cmd). Children lease items, upload
+// their shard results over HTTP and are respawned if they exit early; a
+// killed child's item re-leases when its lease expires. The driver
+// merges the acked shard files and renders the figures.
 //
 // The -store flag also takes a pracstored URL (`-store
 // http://host:8420`, see cmd/pracstored): the session then reads through
@@ -34,8 +37,7 @@
 //	         [-journal DIR|auto|off]
 //	         [-shard i/n [-shardout FILE]]
 //	         [-merge FILE,FILE,...] [-csvdir DIR]
-//	         [-dispatch N [-dispatch-cmd TEMPLATE] [-dispatch-attempts K]
-//	          [-dispatch-min A -dispatch-max B]]
+//	         [-dispatch N [-dispatch-cmd TEMPLATE]]
 //	tpracsim -store-info|-store-prune [-store DIR|URL|auto]
 //	tpracsim -pull http://host:8460 [-pull-token SECRET] [-pull-idle-exit 30s]
 //
@@ -50,20 +52,14 @@
 // 512MB): least-recently-accessed entries are evicted in the background
 // when a write pushes past it, and an evicted entry is an ordinary miss
 // — recomputed and usually re-published, never an error. Under
-// -dispatch the budget is forwarded to every fleet worker.
+// -dispatch the budget is forwarded to every pull child.
 //
-// -dispatch-max turns the fixed worker pool elastic: the driver starts
-// -dispatch-min slots (default 1) and autoscales between the two bounds
-// on queue depth and straggler demand. With worker journals, a
-// straggler's shard is stolen — the slow attempt is killed and the
-// shard requeued on a fresh slot, resuming from its journal — instead
-// of speculatively duplicated.
-//
-// -journal makes a session crash-safe: every completed run (and, under
-// -dispatch, every converged shard) is appended to a checksummed journal
-// as it finishes, and an interrupted invocation re-run with the same
-// arguments resumes from the journal — executing zero already-completed
-// simulations, with or without a store — instead of starting over.
+// -journal makes a session crash-safe: every completed run is appended
+// to a checksummed journal as it finishes (under -dispatch, the queue
+// journals every acked item in the dispatch/ directory beside it), and
+// an interrupted invocation re-run with the same arguments resumes from
+// the journal — executing zero already-completed simulations, with or
+// without a store — instead of starting over.
 // SIGINT/SIGTERM drain and checkpoint (a second signal exits
 // immediately).
 package main
@@ -84,7 +80,6 @@ import (
 	"time"
 
 	"pracsim/internal/exp"
-	"pracsim/internal/exp/dispatch"
 	"pracsim/internal/exp/journal"
 	"pracsim/internal/exp/service"
 	"pracsim/internal/exp/shard"
@@ -92,7 +87,6 @@ import (
 	"pracsim/internal/fault"
 	"pracsim/internal/retry"
 	"pracsim/internal/sim"
-	"pracsim/internal/stats"
 )
 
 func fatalf(format string, args ...any) {
@@ -101,7 +95,6 @@ func fatalf(format string, args ...any) {
 }
 
 func main() {
-	start := time.Now()
 	which := flag.String("exp", "fig10", "experiment: fig10, fig11, fig12, fig13, fig14, table5, rfmpb or all")
 	scaleName := flag.String("scale", "quick", "quick (8 workloads, short budgets) or full (all 50 workloads)")
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = all cores)")
@@ -118,11 +111,8 @@ func main() {
 	shardArg := flag.String("shard", "", "execute only shard i/n of the run keys and write a shard file instead of reports")
 	shardOut := flag.String("shardout", "", "shard result file to write (default shard-i-of-n.runs)")
 	mergeArg := flag.String("merge", "", "comma-separated shard files to import before running")
-	dispatchN := flag.Int("dispatch", 0, "dispatch the grid to N shard workers and auto-merge their results (0 = off)")
-	dispatchCmd := flag.String("dispatch-cmd", "", "worker command template run via sh -c, with {args}/{shard}/{index}/{count}/{slot}/{out} placeholders (default: re-exec this binary)")
-	dispatchAttempts := flag.Int("dispatch-attempts", 3, "per-shard attempt budget for -dispatch")
-	dispatchMin := flag.Int("dispatch-min", 1, "elastic fleet floor: fewest concurrent worker slots (with -dispatch-max)")
-	dispatchMax := flag.Int("dispatch-max", 0, "elastic fleet ceiling: the pool autoscales between -dispatch-min and this on queue depth and stragglers (0 = fixed pool of -dispatch size)")
+	dispatchN := flag.Int("dispatch", 0, "run the grid as N work items on an in-process job queue with N pull children, then merge their results (0 = off)")
+	dispatchCmd := flag.String("dispatch-cmd", "", "child command template run via sh -c, with {args}/{slot}/{port} placeholders (default: re-exec this binary)")
 	journalMode := flag.String("journal", "off", "crash-recovery session journal: a directory, 'auto' (user cache dir, keyed by the session's arguments) or 'off'; an interrupted invocation re-run with the same arguments resumes instead of re-simulating")
 	csvDir := flag.String("csvdir", "", "directory to write CSV files into (optional)")
 	pullURL := flag.String("pull", "", "run as a pull worker for the pracsimd experiment service at this URL (leases and executes shard work items until signaled)")
@@ -139,9 +129,8 @@ func main() {
 		p.Salt = os.Getenv(fault.SaltEnvVar)
 		p.LogTo = os.Stderr
 		fault.Enable(p)
-		// Re-exec'd fleet workers inherit the schedule through the
-		// environment (the dispatcher decorrelates them per-attempt via
-		// the salt variable).
+		// Dispatch children inherit the schedule through the environment
+		// (the fleet decorrelates them per launch via the salt variable).
 		os.Setenv(fault.EnvVar, *faults)
 	}
 
@@ -194,10 +183,6 @@ func main() {
 		runPull(*pullURL, *pullToken, st, *workers, *pullIdleExit)
 		return
 	}
-	if *dispatchMax > 0 && *dispatchMin > *dispatchMax {
-		fmt.Fprintf(os.Stderr, "tpracsim: -dispatch-min %d exceeds -dispatch-max %d\n", *dispatchMin, *dispatchMax)
-		os.Exit(2)
-	}
 	if *dispatchN > 0 && (*perCycle || *differential) {
 		// The validation clockings exist to actually execute every
 		// simulation here; a session in those modes ignores imported
@@ -209,7 +194,7 @@ func main() {
 	var sp shard.Spec
 	if *shardArg != "" {
 		if *dispatchN > 0 {
-			fmt.Fprintln(os.Stderr, "tpracsim: -shard and -dispatch are mutually exclusive (the dispatcher assigns shards itself)")
+			fmt.Fprintln(os.Stderr, "tpracsim: -shard and -dispatch are mutually exclusive (the dispatch queue assigns shards itself)")
 			os.Exit(2)
 		}
 		if sp, err = shard.Parse(*shardArg); err != nil {
@@ -233,7 +218,7 @@ func main() {
 	// workload set, shard slice) adopts this journal. Scheduling knobs
 	// (-workers, -serial) and the store never change results, so they are
 	// deliberately absent.
-	jl, _ := resolveJournal(*journalMode, journal.Fingerprint(
+	jl := resolveJournal(*journalMode, journal.Fingerprint(
 		fmt.Sprintf("schema=%d", sim.SchemaVersion),
 		"exp="+*which,
 		"scale="+*scaleName,
@@ -244,8 +229,8 @@ func main() {
 	))
 
 	// First signal: drain and checkpoint — a running dispatch fleet is
-	// cancelled (group-killing its workers) and the journal synced, so a
-	// re-invocation resumes. Second signal: exit immediately.
+	// cancelled (group-killing its children) and its queue journal
+	// synced, so a re-invocation resumes. Second signal: exit immediately.
 	dispatchCtx, cancelDispatch := context.WithCancel(context.Background())
 	defer cancelDispatch()
 	sigs := make(chan os.Signal, 2)
@@ -282,15 +267,15 @@ func main() {
 		if len(files) == 0 {
 			fatalf("-merge %q names no shard files", *mergeArg)
 		}
-		var n int
-		if _, err := importWithRetry(session, files, &n); err != nil {
+		n, err := importWithRetry(session, files)
+		if err != nil {
 			fatalf("merging shards: %v", err)
 		}
 		fmt.Printf("merged %d runs from %d shard file(s)\n", n, len(files))
 	}
 
 	// Validate the selection before any work — in particular before a
-	// dispatch fleet spawns and burns its retry budget on workers that
+	// dispatch fleet spawns and burns its respawns on children that
 	// would all exit with this same error. The selection grammar lives in
 	// the exp package (ExpandExperiments), shared with pracsimd's grid
 	// specs.
@@ -301,15 +286,14 @@ func main() {
 	}
 
 	if *dispatchN > 0 {
-		if err := runDispatch(dispatchCtx, session, st, jl, *dispatchN, *dispatchCmd, *dispatchAttempts,
-			*dispatchMin, *dispatchMax, *storeBudget,
+		if err := runDispatch(dispatchCtx, session, st, jl, *dispatchN, *dispatchCmd, *storeBudget,
 			*which, *scaleName, *workers, *serial); err != nil {
-			if errors.Is(err, dispatch.ErrInterrupted) {
+			if errors.Is(err, service.ErrInterrupted) {
 				if jl != nil {
 					jl.Close()
 					fmt.Fprintf(os.Stderr, "tpracsim: %v — re-run with the same arguments to resume\n", err)
 				} else {
-					fmt.Fprintf(os.Stderr, "tpracsim: %v (no -journal: converged shards will re-run)\n", err)
+					fmt.Fprintf(os.Stderr, "tpracsim: %v (no -journal: acked items will re-run)\n", err)
 				}
 				os.Exit(130)
 			}
@@ -349,20 +333,8 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		sum := session.Summary()
 		fmt.Printf("shard %s: %d runs (%d executed, rest store-warm), wrote %s\n",
-			sp, n, sum.Executed, *shardOut)
-		// The machine-readable trailer the dispatch driver folds into
-		// its per-shard report.
-		fmt.Println(dispatch.Summary{
-			Shard:    sp.String(),
-			Runs:     n,
-			Executed: sum.Executed,
-			WallMS:   time.Since(start).Milliseconds(),
-			Store:    sum.Store,
-			Faults:   fault.Fired(),
-			Journal:  sum.Journal,
-		}.Line())
+			sp, n, session.Executed(), *shardOut)
 	}
 	// Execution telemetry: store traffic, aggregate simulation rate,
 	// elision wins and the straggler simulations that dominated the
@@ -404,16 +376,16 @@ func runPull(url, token string, st *store.Store, workers int, idleExit time.Dura
 // "auto" (a per-fingerprint directory under the user cache dir) or an
 // explicit directory. Failures degrade to running without a journal —
 // durability is never worth failing a run that can simply execute.
-func resolveJournal(mode, fingerprint string) (*journal.Journal, *journal.Recovery) {
+func resolveJournal(mode, fingerprint string) *journal.Journal {
 	if mode == "" || mode == "off" {
-		return nil, nil
+		return nil
 	}
 	dir := mode
 	if mode == "auto" {
 		base, err := os.UserCacheDir()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tpracsim: -journal auto: %v; running without a journal\n", err)
-			return nil, nil
+			return nil
 		}
 		dir = filepath.Join(base, "tpracsim", "journal", fingerprint)
 	}
@@ -423,173 +395,93 @@ func resolveJournal(mode, fingerprint string) (*journal.Journal, *journal.Recove
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tpracsim: opening journal: %v; running without a journal\n", err)
-		return nil, nil
+		return nil
 	}
 	if rec.Rotated != "" {
 		fmt.Fprintf(os.Stderr, "tpracsim: journal: prior journal rotated aside: %s\n", rec.Rotated)
 	}
 	if !rec.Fresh {
-		msg := fmt.Sprintf("journal: resuming — %d record(s) replayed (%d run(s), %d shard(s))",
-			rec.Records, rec.Runs, len(rec.Shards))
+		msg := fmt.Sprintf("journal: resuming — %d record(s) replayed (%d run(s))",
+			rec.Records, rec.Runs)
 		if rec.TruncatedBytes > 0 {
 			msg += fmt.Sprintf(", %d torn-tail byte(s) truncated", rec.TruncatedBytes)
 		}
 		fmt.Println(msg)
 	}
-	return jl, rec
+	return jl
 }
 
-// runDispatch fans the selected experiments out to shard workers,
-// reports the per-shard fleet summary and merges the shard files into
-// the session, which then assembles figures from fully-warm caches.
-// Errors return (rather than exiting) so the deferred work-directory
-// cleanup runs on failure paths too.
+// runDispatch runs the selected experiments on an in-process job queue
+// with n pull children and merges the acked shard files into the
+// session, which then assembles figures from fully-warm caches. Errors
+// return (rather than exiting) so the deferred work-directory cleanup
+// runs on failure paths too.
 func runDispatch(ctx context.Context, session *exp.Runner, st *store.Store, jl *journal.Journal,
-	n int, template string, attempts, minSlots, maxSlots int, storeBudget string,
-	which, scaleName string, workers int, serial bool) error {
-	// Workers re-run this binary's own configuration, minus the
-	// rendering flags: each executes its shard of the same grid against
-	// the same store and emits a shard file. A local pool (no template)
-	// shares this machine's cores, so by default each worker gets an
-	// equal slice instead of all inheriting -workers 0 (all cores) and
-	// oversubscribing the CPU n-fold; an explicit -workers or a fleet
-	// template (remote hosts own their cores) passes through untouched.
-	// An elastic pool divides by its ceiling — that is the most workers
-	// that ever run at once.
-	if template == "" && workers == 0 && !serial {
-		pool := n
-		if maxSlots > 0 && maxSlots < pool {
-			pool = maxSlots
-		}
-		workers = runtime.NumCPU() / pool
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	args := []string{"-exp", which, "-scale", scaleName, "-workers", strconv.Itoa(workers)}
+	n int, template, storeBudget, which, scaleName string, workers int, serial bool) error {
+	// A local fleet (no template) shares this machine's cores, so by
+	// default each child gets an equal slice instead of all inheriting
+	// -workers 0 (all cores) and oversubscribing the CPU n-fold; an
+	// explicit -workers or a fleet template (remote hosts own their
+	// cores) passes through untouched.
 	if serial {
-		args = append(args, "-serial")
-	}
-	// Fleet workers run the same lifecycle policy as the driver: their
-	// local disk tiers (or the shared directory store) stay under the
-	// same budget.
-	if storeBudget != "" {
-		args = append(args, "-store-budget", storeBudget)
-	}
-	// Workers re-resolve the spec themselves: a directory reopens the
-	// same disk store, a pracstored URL gives every fleet worker its own
-	// local tier over the one shared server.
-	if st != nil {
-		args = append(args, "-store", st.Spec())
-	} else {
-		args = append(args, "-store", "off")
+		workers = 1
+	} else if template == "" && workers == 0 {
+		workers = max(runtime.NumCPU()/n, 1)
 	}
 	exe, err := os.Executable()
 	if err != nil {
 		return fmt.Errorf("resolving own binary for dispatch: %w", err)
 	}
-	// With a journal, the work directory is stable (next to the journal
-	// file) and survives this process: a restarted driver must find the
-	// converged shard files the journal points at. Without one, a
-	// throwaway temp directory as before.
-	var workDir, workerJournalDir string
-	if jl != nil {
-		base := filepath.Dir(jl.Path())
-		workDir = filepath.Join(base, "dispatch")
-		if err := os.MkdirAll(workDir, 0o755); err != nil {
-			return err
-		}
-		workerJournalDir = filepath.Join(base, "workers")
-	} else {
-		if workDir, err = os.MkdirTemp("", "tpracsim-dispatch-"); err != nil {
-			return err
-		}
-		defer os.RemoveAll(workDir)
+	// Children re-resolve the store spec themselves: a directory reopens
+	// the same disk store, a pracstored URL gives every child its own
+	// local tier over the one shared server.
+	storeSpec := "off"
+	if st != nil {
+		storeSpec = st.Spec()
 	}
-
-	res, err := dispatch.Run(dispatch.Options{
-		Shards:           n,
-		Workers:          n,
-		MinWorkers:       minSlots,
-		MaxWorkers:       maxSlots,
-		Argv:             append([]string{exe}, args...),
-		Template:         template,
-		Attempts:         attempts,
-		Dir:              workDir,
-		Schema:           sim.SchemaVersion,
-		Log:              os.Stdout,
-		StragglerFactor:  3,
-		StragglerMin:     30 * time.Second,
-		Journal:          jl,
-		Context:          ctx,
-		WorkerJournalDir: workerJournalDir,
+	argv := []string{exe, "-store", storeSpec, "-workers", strconv.Itoa(workers)}
+	if storeBudget != "" {
+		argv = append(argv, "-store-budget", storeBudget)
+	}
+	// With a journal, the queue's work directory sits beside it and
+	// survives this process, so a rerun adopts the acked items. Without
+	// one, a throwaway temp directory.
+	var dir string
+	if jl != nil {
+		dir = filepath.Join(filepath.Dir(jl.Path()), "dispatch")
+	} else {
+		if dir, err = os.MkdirTemp("", "tpracsim-dispatch-"); err != nil {
+			return err
+		}
+		defer os.RemoveAll(dir)
+	}
+	_, files, err := service.RunFleet(ctx, service.FleetOptions{
+		Exps: []string{which}, Scale: scaleName, Shards: n,
+		Dir: dir, Argv: argv, Template: template, Log: os.Stdout,
 	})
 	if err != nil {
 		return err
 	}
-
-	t := &stats.Table{Header: []string{"shard", "slot", "attempts", "stolen", "backoff-ms", "runs", "executed", "wall-s", "store-hits", "store-misses", "remote-hits", "remote-retries", "faults", "j-resume", "j-append"}}
-	var totalBackoff time.Duration
-	for _, r := range res.Reports {
-		executed, hits, misses, rhits, rretries, faults := "?", "?", "?", "?", "?", "?"
-		jresume, jappend := "?", "?"
-		if r.HasSummary {
-			executed = strconv.FormatInt(r.Summary.Executed, 10)
-			hits = strconv.FormatInt(r.Summary.Store.Hits, 10)
-			misses = strconv.FormatInt(r.Summary.Store.Misses, 10)
-			rhits = strconv.FormatInt(r.Summary.Store.Remote.Hits, 10)
-			rretries = strconv.FormatInt(r.Summary.Store.Remote.Retries, 10)
-			faults = strconv.FormatInt(r.Summary.Faults, 10)
-			jresume = strconv.FormatInt(r.Summary.Journal.ResumeHits, 10)
-			jappend = strconv.FormatInt(r.Summary.Journal.Appended, 10)
-		}
-		slot := strconv.Itoa(r.Slot)
-		if r.Adopted {
-			// No worker ran this invocation: the shard came straight from
-			// the driver journal's recovered state.
-			slot, executed = "adopted", "0"
-		}
-		totalBackoff += r.Backoff
-		t.Add(r.Shard.String(), slot, r.Attempts, r.Stolen, r.Backoff.Milliseconds(), r.Runs, executed, r.Wall.Seconds(), hits, misses, rhits, rretries, faults, jresume, jappend)
-	}
-	summary := fmt.Sprintf("dispatch: %d shard(s) converged in %.1fs (%d adopted from journal), %d retried attempt(s), %dms total backoff",
-		len(res.Reports), res.Wall.Seconds(), res.Adopted(), res.Retries(), totalBackoff.Milliseconds())
-	if s := res.Steals(); s > 0 {
-		summary += fmt.Sprintf(", %d stolen shard(s)", s)
-	}
-	if maxSlots > 0 {
-		summary += fmt.Sprintf(", pool %d-%d (peak %d, %d up/%d down)",
-			minSlots, maxSlots, res.PeakWorkers, res.ScaleUps, res.ScaleDowns)
-	}
-	fmt.Printf("%s\n%s", summary, t.String())
-
-	// The shard files just validated, but the merge re-reads them; a
-	// transient read failure (NFS hiccup, an injected shard.read fault)
-	// should cost a retry, not the whole dispatched fleet's work.
-	var imported int
-	if _, err := importWithRetry(session, res.Files, &imported); err != nil {
+	// A transient read failure (NFS hiccup, an injected shard.read
+	// fault) should cost a retry, not the whole fleet's work.
+	imported, err := importWithRetry(session, files)
+	if err != nil {
 		return fmt.Errorf("merging dispatched shards: %w", err)
 	}
-	if jl != nil {
-		_ = jl.AppendMerge(res.Files, imported)
-	}
-	fmt.Printf("merged %d runs from %d dispatched shard(s)\n", imported, len(res.Files))
+	fmt.Printf("merged %d runs from %d dispatched shard(s)\n", imported, len(files))
 	return nil
 }
 
 // importWithRetry merges shard files under the unified retry policy:
 // shard reads are plain file I/O, so a transient failure costs a paced
 // re-read rather than discarding a fleet's worth of simulation.
-func importWithRetry(session *exp.Runner, files []string, imported *int) (int, error) {
-	return retry.Policy{Attempts: 3, Base: 100 * time.Millisecond}.Do(
-		context.Background(), "merge shards", func(context.Context, int) error {
-			n, err := session.ImportShards(files...)
-			if err != nil {
-				return err
-			}
-			*imported = n
-			return nil
+func importWithRetry(session *exp.Runner, files []string) (n int, err error) {
+	_, err = retry.Policy{Attempts: 3, Base: 100 * time.Millisecond}.Do(
+		context.Background(), "merge shards", func(context.Context, int) (ierr error) {
+			n, ierr = session.ImportShards(files...)
+			return ierr
 		})
+	return n, err
 }
 
 // runStoreMaintenance serves -store-info / -store-prune: the

@@ -1,18 +1,14 @@
 package exp
 
 import (
-	"bytes"
-	"fmt"
 	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
 
-	"pracsim/internal/exp/dispatch"
 	"pracsim/internal/exp/store"
 	storeserver "pracsim/internal/exp/store/server"
 	"pracsim/internal/fault"
-	"pracsim/internal/sim"
 )
 
 // enableFaults parses and activates a fault schedule for one test.
@@ -138,67 +134,5 @@ func TestChaosSameSeedSameFaultLog(t *testing.T) {
 	}
 	if outA != outB || outA != want.Render()+want.CSV() {
 		t.Error("corrupt-store sessions not byte-identical to the reference")
-	}
-}
-
-// TestChaosDispatchFleetKillStormConverges: a dispatch fleet under an
-// injected worker-kill storm converges with the expected retry count and
-// the merged figures stay bit-identical — the `-dispatch N` acceptance
-// contract, driven through the library.
-func TestChaosDispatchFleetKillStormConverges(t *testing.T) {
-	reference := NewRunner(storeScale())
-	want, err := reference.Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := t.TempDir()
-	exportShardFiles(t, pre, 3)
-
-	// Workers stay alive long enough for the 100ms kill to land; the
-	// x2 cap makes the storm's cost exactly two retried attempts.
-	tmpl := fmt.Sprintf("sleep 0.3; cp %s/pre-{index}.runs {out}", pre)
-	enableFaults(t, "seed=5;dispatch.worker:kill=100msx2")
-
-	var log bytes.Buffer
-	res, err := dispatch.Run(dispatch.Options{
-		Shards:    3,
-		Workers:   3,
-		Template:  tmpl,
-		Attempts:  3,
-		Dir:       t.TempDir(),
-		Schema:    sim.SchemaVersion,
-		Log:       &log,
-		RetryBase: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("dispatch under kill storm: %v\nlog:\n%s", err, log.String())
-	}
-	if res.Retries() != 2 {
-		t.Errorf("kill storm (x2) should cost exactly 2 retries, got %d\nlog:\n%s", res.Retries(), log.String())
-	}
-	if n := fault.Fired(); n != 2 {
-		t.Errorf("fault.Fired() = %d, want 2", n)
-	}
-	var totalBackoff time.Duration
-	for _, rep := range res.Reports {
-		totalBackoff += rep.Backoff
-	}
-	if totalBackoff <= 0 {
-		t.Errorf("retried fleet reports no backoff: %+v", res.Reports)
-	}
-
-	merge := NewRunner(storeScale())
-	if _, err := merge.ImportShards(res.Files...); err != nil {
-		t.Fatal(err)
-	}
-	got, err := merge.Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := merge.Executed(); n != 0 {
-		t.Errorf("merged session executed %d simulations, want 0", n)
-	}
-	if got.Render() != want.Render() || got.CSV() != want.CSV() {
-		t.Error("kill-storm fleet result not byte-identical to unsharded run")
 	}
 }

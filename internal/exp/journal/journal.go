@@ -2,8 +2,8 @@
 // fsync-batched, per-record-checksummed event log that records what a
 // session has already accomplished — the session open (schema and
 // argument fingerprint), every completed run (key and result payload),
-// the dispatch fleet plan and per-shard convergence, and merge/export
-// completion — so a driver process that is SIGKILLed, OOM-killed or
+// export and experiment completion, and the experiment-service queue's
+// jobs, leases and acks — so a driver process that is SIGKILLed, OOM-killed or
 // preempted mid-grid resumes from the journal with zero lost work
 // instead of starting over.
 //
@@ -28,8 +28,8 @@
 //
 // Appends are batched for durability: records are written immediately
 // but fsync'd every SyncEvery records or SyncInterval, whichever comes
-// first, and checkpoints the caller cannot afford to lose (a converged
-// dispatch shard) call Sync explicitly. A record that misses its fsync
+// first, and checkpoints the caller cannot afford to lose (a submitted
+// job, an acked work item) sync before returning. A record that misses its fsync
 // before a crash is simply re-executed on resume.
 package journal
 
@@ -68,10 +68,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 const (
 	typeOpen   = "open"
 	typeRun    = "run"
-	typePlan   = "plan"
-	typeShard  = "shard"
-	typeScale  = "scale"
-	typeMerge  = "merge"
 	typeExport = "export"
 	typeDone   = "done"
 	typeJob    = "job"
@@ -83,32 +79,23 @@ const (
 // omits the fields a type does not use.
 type record struct {
 	Type    string   `json:"t"`
-	Schema  int      `json:"schema,omitempty"`  // open
-	FP      string   `json:"fp,omitempty"`      // open, plan
-	Key     string   `json:"key,omitempty"`     // run
-	Payload []byte   `json:"p,omitempty"`       // run, job (grid spec)
-	Shard   string   `json:"shard,omitempty"`   // shard, lease, ack ("i/n")
-	File    string   `json:"file,omitempty"`    // shard, ack
-	Runs    int      `json:"runs,omitempty"`    // shard, merge, export, job, ack
-	Files   []string `json:"files,omitempty"`   // merge
-	Name    string   `json:"name,omitempty"`    // done (experiment name)
-	Pool    int      `json:"pool,omitempty"`    // scale (surviving worker-pool size)
-	Job     string   `json:"job,omitempty"`     // job, lease, ack (job id)
-	Token   string   `json:"token,omitempty"`   // job (tenant identity)
-	Prio    int      `json:"prio,omitempty"`    // job
-	Status  string   `json:"status,omitempty"`  // job ("" = submitted)
-	Worker  string   `json:"worker,omitempty"`  // lease
-	Msg     string   `json:"msg,omitempty"`     // job (failure detail)
-	Exec    int64    `json:"exec,omitempty"`    // ack (simulations the worker executed)
-}
-
-// ShardRecord is a journaled per-shard convergence: the validated shard
-// file the dispatch driver can adopt on resume instead of re-spawning
-// the worker.
-type ShardRecord struct {
-	Shard string // "i/n"
-	File  string
-	Runs  int
+	Schema  int      `json:"schema,omitempty"` // open
+	FP      string   `json:"fp,omitempty"`     // open
+	Key     string   `json:"key,omitempty"`    // run
+	Payload []byte   `json:"p,omitempty"`      // run, job (grid spec)
+	Shard   string   `json:"shard,omitempty"`  // lease, ack ("i/n")
+	File    string   `json:"file,omitempty"`   // export, ack
+	Runs    int      `json:"runs,omitempty"`   // export, job, ack
+	Items   []string `json:"items,omitempty"`  // job (submitted work items, "i/n")
+	Warm    int      `json:"warm,omitempty"`   // job (run keys warm at submission)
+	Name    string   `json:"name,omitempty"`   // done (experiment name)
+	Job     string   `json:"job,omitempty"`    // job, lease, ack (job id)
+	Token   string   `json:"token,omitempty"`  // job (tenant identity)
+	Prio    int      `json:"prio,omitempty"`   // job
+	Status  string   `json:"status,omitempty"` // job ("" = submitted)
+	Worker  string   `json:"worker,omitempty"` // lease
+	Msg     string   `json:"msg,omitempty"`    // job (failure detail)
+	Exec    int64    `json:"exec,omitempty"`   // ack (simulations the worker executed)
 }
 
 // JobRecord is a journaled experiment-service job event: the submission
@@ -120,9 +107,15 @@ type JobRecord struct {
 	Token    string // tenant identity (quotas, fairness)
 	Priority int
 	Spec     []byte // grid spec JSON; submission records only
-	Status   string // "" = submitted
-	Runs     int    // done: simulations the job executed in total
-	Msg      string // failed: what went wrong
+	// Items lists the submitted work items ("i/n") and Warm counts the
+	// run keys the store already held; submission records only. The
+	// store-dedup that chose them is not repeated on restore: the store
+	// has moved on since, and the job must come back exactly as queued.
+	Items  []string
+	Warm   int
+	Status string // "" = submitted
+	Runs   int    // done: simulations the job executed in total
+	Msg    string // failed: what went wrong
 }
 
 // LeaseRecord is a journaled work-item lease grant. A restarted daemon
@@ -177,18 +170,8 @@ type Recovery struct {
 	Rotated string
 	// Fresh reports that no prior state was replayed.
 	Fresh bool
-	// Shards lists replayed per-shard convergence records.
-	Shards []ShardRecord
-	// Plan is the replayed fleet-plan fingerprint ("" without one).
-	Plan string
-	// Pool is the replayed worker-pool size from the last scale record
-	// (0 without one) — the surviving fleet shape an elastic dispatch
-	// adopts on resume.
-	Pool int
 	// Done lists replayed completion markers (experiment names).
 	Done []string
-	// Merges counts replayed merge-completion records.
-	Merges int
 	// Jobs lists replayed experiment-service job events in append order
 	// (submissions and terminal transitions alike; the queue folds them).
 	Jobs []JobRecord
@@ -251,10 +234,7 @@ type Journal struct {
 	closed  bool
 
 	// Recovered state, immutable after Open.
-	runs   map[string][]byte
-	shards map[string]ShardRecord
-	plan   string
-	pool   int
+	runs map[string][]byte
 
 	appended, replayed, resumeHits, truncated, syncs, appendErrs, dropped int64
 
@@ -334,11 +314,10 @@ func adopt(f *os.File, path string, opts Options, rec *Recovery) (*Journal, stri
 		return nil, "", fmt.Errorf("journal: %w", err)
 	}
 	j := &Journal{
-		path:   path,
-		opts:   opts,
-		f:      f,
-		runs:   make(map[string][]byte),
-		shards: make(map[string]ShardRecord),
+		path: path,
+		opts: opts,
+		f:    f,
+		runs: make(map[string][]byte),
 	}
 
 	if fi.Size() == 0 {
@@ -390,31 +369,13 @@ func adopt(f *os.File, path string, opts Options, rec *Recovery) (*Journal, stri
 		case typeRun:
 			j.runs[r.Key] = r.Payload
 			rec.Runs++
-		case typePlan:
-			j.plan = r.FP
-			// A new plan supersedes any shard state recorded under the
-			// old one — and the pool shape that served it.
-			if len(j.shards) > 0 {
-				j.shards = make(map[string]ShardRecord)
-				rec.Shards = nil
-			}
-			j.pool = 0
-			rec.Pool = 0
-		case typeShard:
-			sr := ShardRecord{Shard: r.Shard, File: r.File, Runs: r.Runs}
-			j.shards[r.Shard] = sr
-			rec.Shards = append(rec.Shards, sr)
-		case typeScale:
-			j.pool = r.Pool
-			rec.Pool = r.Pool
-		case typeMerge:
-			rec.Merges++
 		case typeDone:
 			rec.Done = append(rec.Done, r.Name)
 		case typeJob:
 			rec.Jobs = append(rec.Jobs, JobRecord{
 				ID: r.Job, Token: r.Token, Priority: r.Prio,
-				Spec: r.Payload, Status: r.Status, Runs: r.Runs, Msg: r.Msg,
+				Spec: r.Payload, Items: r.Items, Warm: r.Warm,
+				Status: r.Status, Runs: r.Runs, Msg: r.Msg,
 			})
 		case typeLease:
 			rec.Leases = append(rec.Leases, LeaseRecord{Job: r.Job, Item: r.Shard, Worker: r.Worker})
@@ -439,7 +400,6 @@ func adopt(f *os.File, path string, opts Options, rec *Recovery) (*Journal, stri
 	}
 	j.off = off
 	j.replayed = int64(rec.Records)
-	rec.Plan = j.plan
 	rec.Fresh = rec.Records <= 1 // just the open record
 	return j, "", nil
 }
@@ -502,55 +462,10 @@ func (j *Journal) Run(key string) ([]byte, bool) {
 // RecoveredRuns reports how many run records the journal replayed.
 func (j *Journal) RecoveredRuns() int { return len(j.runs) }
 
-// RecoveredShard returns the replayed convergence record for shard
-// "i/n", if any.
-func (j *Journal) RecoveredShard(shard string) (ShardRecord, bool) {
-	sr, ok := j.shards[shard]
-	return sr, ok
-}
-
-// RecoveredPlan reports the replayed fleet-plan fingerprint ("" without
-// one).
-func (j *Journal) RecoveredPlan() string { return j.plan }
-
-// RecoveredPool reports the replayed worker-pool size from the last
-// scale record under the current plan (0 without one) — what an elastic
-// dispatch adopts instead of re-growing from its minimum.
-func (j *Journal) RecoveredPool() int { return j.pool }
-
 // AppendRun journals one completed run. Best-effort like every append:
 // an error means this run re-executes after a crash, nothing more.
 func (j *Journal) AppendRun(key string, payload []byte) error {
 	return j.append(record{Type: typeRun, Key: key, Payload: payload})
-}
-
-// AppendPlan journals the dispatch fleet plan fingerprint; shard
-// records only count toward resume under a matching plan.
-func (j *Journal) AppendPlan(fp string) error {
-	return j.append(record{Type: typePlan, FP: fp})
-}
-
-// AppendShard journals one converged dispatch shard, then syncs — a
-// converged shard is exactly the checkpoint a crashed driver must not
-// lose.
-func (j *Journal) AppendShard(sr ShardRecord) error {
-	if err := j.append(record{Type: typeShard, Shard: sr.Shard, File: sr.File, Runs: sr.Runs}); err != nil {
-		return err
-	}
-	return j.Sync()
-}
-
-// AppendScale journals an elastic-dispatch pool resize, so a resumed
-// driver adopts the surviving pool shape instead of re-learning it.
-// Unsynced on purpose: losing a scale record costs one re-grow, nothing
-// else.
-func (j *Journal) AppendScale(pool int) error {
-	return j.append(record{Type: typeScale, Pool: pool})
-}
-
-// AppendMerge journals a completed shard merge.
-func (j *Journal) AppendMerge(files []string, runs int) error {
-	return j.append(record{Type: typeMerge, Files: files, Runs: runs})
 }
 
 // AppendExport journals a written shard-export file.
@@ -569,7 +484,8 @@ func (j *Journal) AppendDone(name string) error {
 func (j *Journal) AppendJob(r JobRecord) error {
 	err := j.append(record{
 		Type: typeJob, Job: r.ID, Token: r.Token, Prio: r.Priority,
-		Payload: r.Spec, Status: r.Status, Runs: r.Runs, Msg: r.Msg,
+		Payload: r.Spec, Items: r.Items, Warm: r.Warm,
+		Status: r.Status, Runs: r.Runs, Msg: r.Msg,
 	})
 	if err != nil {
 		return err

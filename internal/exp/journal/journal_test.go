@@ -36,8 +36,8 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("AppendRun: %v", err)
 		}
 	}
-	if err := j.AppendShard(ShardRecord{Shard: "1/3", File: "/w/shard-1.runs", Runs: 4}); err != nil {
-		t.Fatalf("AppendShard: %v", err)
+	if err := j.AppendExport("/w/shard-1.runs", 4); err != nil {
+		t.Fatalf("AppendExport: %v", err)
 	}
 	if err := j.AppendDone("fig12"); err != nil {
 		t.Fatalf("AppendDone: %v", err)
@@ -51,7 +51,7 @@ func TestRoundTrip(t *testing.T) {
 	if rec2.Fresh {
 		t.Error("recovery of a populated journal reported fresh")
 	}
-	// open + 5 runs + shard + done = 8
+	// open + 5 runs + export + done = 8
 	if rec2.Records != 8 || rec2.Runs != 5 || rec2.TruncatedBytes != 0 {
 		t.Errorf("recovery = %+v; want 8 records, 5 runs, 0 truncated", rec2)
 	}
@@ -60,9 +60,6 @@ func TestRoundTrip(t *testing.T) {
 		if !ok || string(data) != fmt.Sprintf("payload-%d", i) {
 			t.Errorf("run-%d not recovered (ok=%v data=%q)", i, ok, data)
 		}
-	}
-	if sr, ok := j2.RecoveredShard("1/3"); !ok || sr.File != "/w/shard-1.runs" || sr.Runs != 4 {
-		t.Errorf("shard record not recovered: %+v ok=%v", sr, ok)
 	}
 	if got := rec2.Done; len(got) != 1 || got[0] != "fig12" {
 		t.Errorf("done markers = %v, want [fig12]", got)
@@ -205,29 +202,6 @@ func TestGarbageFileRotates(t *testing.T) {
 	}
 	if err := j.AppendRun("r", []byte("p")); err != nil {
 		t.Fatalf("append after rotation: %v", err)
-	}
-}
-
-// TestPlanSupersedesShards: shard records only count under the plan
-// that produced them; a new plan record voids earlier convergences.
-func TestPlanSupersedesShards(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.journal")
-	j, _ := open(t, path, testOpts())
-	j.AppendPlan("plan-1")
-	j.AppendShard(ShardRecord{Shard: "0/2", File: "/w/s0.runs", Runs: 3})
-	j.AppendPlan("plan-2")
-	j.Close()
-
-	j2, rec := open(t, path, testOpts())
-	defer j2.Close()
-	if j2.RecoveredPlan() != "plan-2" {
-		t.Errorf("recovered plan = %q, want plan-2", j2.RecoveredPlan())
-	}
-	if _, ok := j2.RecoveredShard("0/2"); ok {
-		t.Error("shard converged under plan-1 survived plan-2")
-	}
-	if len(rec.Shards) != 0 {
-		t.Errorf("recovery lists superseded shards: %+v", rec.Shards)
 	}
 }
 
@@ -465,50 +439,6 @@ func BenchmarkJournalRecovery(b *testing.B) {
 	}
 }
 
-// TestScaleRecordRoundTrip: the last checkpointed pool size survives a
-// reopen, and a new plan supersedes it — a resumed driver only adopts a
-// pool shape that belongs to its own fleet plan.
-func TestScaleRecordRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "s.journal")
-	j, _, err := Open(path, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.RecoveredPool() != 0 {
-		t.Errorf("fresh journal recovered pool %d, want 0", j.RecoveredPool())
-	}
-	if err := j.AppendPlan("plan-a"); err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range []int{2, 4, 3} {
-		if err := j.AppendScale(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	j.Close()
-
-	j2, rec, err := Open(path, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Pool != 3 || j2.RecoveredPool() != 3 {
-		t.Errorf("recovered pool = %d/%d, want 3 (the last scale record)", rec.Pool, j2.RecoveredPool())
-	}
-	// A new plan resets the pool along with the shard records.
-	if err := j2.AppendPlan("plan-b"); err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	j3, rec3, err := Open(path, testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j3.Close()
-	if rec3.Pool != 0 || j3.RecoveredPool() != 0 {
-		t.Errorf("pool survived a plan supersession: %d/%d, want 0", rec3.Pool, j3.RecoveredPool())
-	}
-}
-
 // TestJobQueueRecordsRoundTrip: the experiment-service job/lease/ack
 // records replay in order, with field fidelity, across a close/reopen —
 // the queue-resume contract.
@@ -516,7 +446,8 @@ func TestJobQueueRecordsRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "q.journal")
 	j, _ := open(t, path, testOpts())
 	spec := []byte(`{"exps":["fig12"],"scale":"quick","shards":2}`)
-	if err := j.AppendJob(JobRecord{ID: "j1", Token: "tokA", Priority: 2, Spec: spec}); err != nil {
+	items := []string{"0/2", "1/2"}
+	if err := j.AppendJob(JobRecord{ID: "j1", Token: "tokA", Priority: 2, Spec: spec, Items: items, Warm: 3}); err != nil {
 		t.Fatalf("AppendJob: %v", err)
 	}
 	if err := j.AppendLease(LeaseRecord{Job: "j1", Item: "0/2", Worker: "w-1"}); err != nil {
@@ -543,7 +474,8 @@ func TestJobQueueRecordsRoundTrip(t *testing.T) {
 	if len(rec.Jobs) != 3 {
 		t.Fatalf("recovered %d job records, want 3: %+v", len(rec.Jobs), rec.Jobs)
 	}
-	if r := rec.Jobs[0]; r.ID != "j1" || r.Token != "tokA" || r.Priority != 2 || string(r.Spec) != string(spec) || r.Status != "" {
+	if r := rec.Jobs[0]; r.ID != "j1" || r.Token != "tokA" || r.Priority != 2 || string(r.Spec) != string(spec) ||
+		r.Status != "" || len(r.Items) != 2 || r.Items[1] != "1/2" || r.Warm != 3 {
 		t.Errorf("job submission record mangled: %+v", r)
 	}
 	if r := rec.Jobs[1]; r.ID != "j1" || r.Status != "done" || r.Runs != 48 {

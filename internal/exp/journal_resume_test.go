@@ -1,89 +1,14 @@
 package exp
 
 import (
-	"bytes"
-	"context"
-	"errors"
-	"fmt"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
-	"pracsim/internal/exp/dispatch"
 	"pracsim/internal/exp/journal"
-	"pracsim/internal/fault"
 	"pracsim/internal/sim"
 )
-
-// interruptOnceConverged cancels the returned context as soon as the
-// journal holds at least n shard-convergence records — the moment an
-// operator's Ctrl-C would find a half-done fleet.
-func interruptOnceConverged(t *testing.T, jl *journal.Journal, n int) (context.Context, context.CancelFunc) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		for i := 0; i < 1200; i++ {
-			raw, _ := os.ReadFile(jl.Path())
-			if bytes.Count(raw, []byte(`"t":"shard"`)) >= n {
-				cancel()
-				return
-			}
-			time.Sleep(25 * time.Millisecond)
-		}
-		cancel()
-	}()
-	return ctx, cancel
-}
-
-func errorsIsInterrupted(err error) bool { return errors.Is(err, dispatch.ErrInterrupted) }
-
-// TestMain doubles as the fake dispatch driver for the SIGKILL e2e
-// tests: with the fake-driver env var set, the test binary opens a
-// journal and runs a real dispatch fleet — a process the tests can kill
-// mid-flight exactly like an interrupted tpracsim invocation.
-func TestMain(m *testing.M) {
-	if os.Getenv("PRACSIM_EXP_FAKE_DRIVER") == "1" {
-		fakeDriverMain()
-		return
-	}
-	os.Exit(m.Run())
-}
-
-// driverJournalOpts is the one journal identity the fake driver and the
-// resuming test share — a fingerprint mismatch would rotate the journal
-// instead of resuming it.
-func driverJournalOpts() journal.Options {
-	return journal.Options{
-		Schema:      sim.SchemaVersion,
-		Fingerprint: journal.Fingerprint("driver-kill-e2e"),
-	}
-}
-
-func fakeDriverMain() {
-	if _, err := fault.EnableFromEnv(); err != nil {
-		fmt.Fprintln(os.Stderr, "fake driver:", err)
-		os.Exit(2)
-	}
-	jl, _, err := journal.Open(os.Getenv("PRACSIM_EXP_DRIVER_JOURNAL"), driverJournalOpts())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fake driver:", err)
-		os.Exit(2)
-	}
-	defer jl.Close()
-	if _, err := dispatch.Run(dispatch.Options{
-		Shards:   3,
-		Template: os.Getenv("PRACSIM_EXP_DRIVER_TEMPLATE"),
-		Dir:      os.Getenv("PRACSIM_EXP_DRIVER_DIR"),
-		Schema:   sim.SchemaVersion,
-		Journal:  jl,
-		Log:      os.Stdout,
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "fake driver:", err)
-		os.Exit(1)
-	}
-}
 
 // journaledScale matches the journal-resume tests' session shape.
 func journaledScale() Scale { return storeScale() }
@@ -226,87 +151,4 @@ func TestValidationModesBypassJournal(t *testing.T) {
 		t.Errorf("differential session touched the journal: %+v", st)
 	}
 	jl.Close()
-}
-
-// TestDispatchInterruptedResumeBitIdentical is the in-process half of
-// the driver-crash contract: a dispatch cancelled mid-fleet (the signal
-// drain path) checkpoints converged shards; a second dispatch over the
-// same journal adopts them, converges the rest, and the merged figures
-// are byte-identical to an undispatched run with zero re-executed
-// simulations.
-func TestDispatchInterruptedResumeBitIdentical(t *testing.T) {
-	reference := NewRunner(storeScale())
-	want, err := reference.Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := t.TempDir()
-	exportShardFiles(t, pre, 3)
-
-	workDir := t.TempDir()
-	jpath := t.TempDir() + "/session.journal"
-	jopts := journal.Options{Schema: sim.SchemaVersion, Fingerprint: journal.Fingerprint("interrupt-resume")}
-	mark := t.TempDir() + "/resume-mark"
-	// Until the mark exists, only shard 0 makes progress — the fleet is
-	// reliably mid-flight when the interrupt lands.
-	tmpl := fmt.Sprintf("if [ {index} != 0 ] && [ ! -e %s ]; then sleep 300; fi; cp %s/pre-{index}.runs {out}", mark, pre)
-	runOpts := func(jl *journal.Journal, log *bytes.Buffer) dispatch.Options {
-		return dispatch.Options{
-			Shards:   3,
-			Template: tmpl,
-			Dir:      workDir,
-			Schema:   sim.SchemaVersion,
-			Journal:  jl,
-			Log:      log,
-		}
-	}
-
-	jl1, _, err := journal.Open(jpath, jopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := interruptOnceConverged(t, jl1, 1)
-	defer cancel()
-	var log1 bytes.Buffer
-	opts1 := runOpts(jl1, &log1)
-	opts1.Context = ctx
-	if _, err := dispatch.Run(opts1); !errorsIsInterrupted(err) {
-		t.Fatalf("interrupted dispatch returned %v\nlog:\n%s", err, log1.String())
-	}
-	jl1.Close()
-	if err := os.WriteFile(mark, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	jl2, rec, err := journal.Open(jpath, jopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jl2.Close()
-	if len(rec.Shards) == 0 {
-		t.Fatalf("interrupt checkpointed no shards: %+v\nlog:\n%s", rec, log1.String())
-	}
-	var log2 bytes.Buffer
-	res, err := dispatch.Run(runOpts(jl2, &log2))
-	if err != nil {
-		t.Fatalf("resumed dispatch: %v\nlog:\n%s", err, log2.String())
-	}
-	if res.Adopted() == 0 {
-		t.Errorf("resumed dispatch adopted nothing\nlog:\n%s", log2.String())
-	}
-
-	merge := NewRunner(storeScale())
-	if _, err := merge.ImportShards(res.Files...); err != nil {
-		t.Fatal(err)
-	}
-	got, err := merge.Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := merge.Executed(); n != 0 {
-		t.Errorf("merged session executed %d simulations, want 0", n)
-	}
-	if got.Render() != want.Render() || got.CSV() != want.CSV() {
-		t.Error("resumed fleet result not byte-identical to undispatched run")
-	}
 }

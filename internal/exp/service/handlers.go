@@ -27,7 +27,7 @@ const maxSpecBytes = 64 << 10
 const maxShardBytes = 256 << 20
 
 // fireDelay applies a fired failpoint's Delay kind, bounded by the
-// request's lifetime, and reports whether the action was an error.
+// request's lifetime.
 func fireDelay(act *fault.Action, r *http.Request) {
 	if act != nil && act.Kind == fault.Delay {
 		select {
@@ -44,8 +44,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// handleSubmit accepts a grid spec, dedupes it against the store, and
-// queues the cold shard slices.
+// handleSubmit accepts a grid spec over HTTP and hands it to Submit.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The service.submit failpoint fails the submission before anything
 	// is journaled — the client retries and gets a fresh job id, exactly
@@ -63,16 +62,37 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad grid spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}
+	st, err := s.Submit(httpd.Token(r.Context()), spec)
+	if err != nil {
+		code := http.StatusInternalServerError
+		switch {
+		case errors.Is(err, ErrBadSpec):
+			code = http.StatusBadRequest
+		case errors.Is(err, ErrQuota):
+			code = http.StatusTooManyRequests
+		case errors.Is(err, ErrClosed):
+			code = http.StatusServiceUnavailable
+		}
+		http.Error(w, err.Error(), code)
+		return
+	}
+	w.Header().Set("Location", "/v1/jobs/"+st.ID)
+	writeJSON(w, http.StatusCreated, st)
+}
+
+// Submit validates a grid spec for a tenant, dedupes it against the
+// store and queues the shard slices that still own cold keys. A
+// fully-warm grid queues nothing and finalizes at once. Errors wrap
+// ErrBadSpec, ErrQuota or ErrClosed.
+func (s *Server) Submit(token string, spec GridSpec) (JobStatus, error) {
 	exps, scale, err := spec.normalize(s.opts.Scales)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return JobStatus{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	scale.Workers = s.opts.Workers
 	keys, err := exp.GridKeys(exps, scale)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return JobStatus{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	// The dedup probe: a key whose Stat succeeds is warm; any error —
 	// absent, corrupt, unreadable — degrades to cold, which only costs
@@ -93,26 +113,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	token := httpd.Token(r.Context())
 	st, err := s.queue.Submit(token, spec, exps, scale, len(keys), len(keys)-len(cold), items)
 	if err != nil {
-		code := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrQuota):
-			code = http.StatusTooManyRequests
-		case errors.Is(err, ErrClosed):
-			code = http.StatusServiceUnavailable
-		}
-		http.Error(w, err.Error(), code)
-		return
+		return st, err
 	}
 	s.logf("service: job %s submitted (%s, scale %s, %d/%d keys cold, %d item(s))",
 		st.ID, strings.Join(exps, ","), spec.Scale, len(cold), len(keys), len(items))
 	if st.State == StateFinalizing {
 		s.startFinalize(st.ID)
 	}
-	w.Header().Set("Location", "/v1/jobs/"+st.ID)
-	writeJSON(w, http.StatusCreated, st)
+	return st, nil
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {

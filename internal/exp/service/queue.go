@@ -40,6 +40,8 @@ var (
 	ErrNoLease = errors.New("service: unknown or expired lease")
 	// ErrClosed rejects operations on a draining queue.
 	ErrClosed = errors.New("service: queue is draining")
+	// ErrBadSpec rejects a grid spec that fails validation (400).
+	ErrBadSpec = errors.New("service: bad grid spec")
 )
 
 // JobStatus is the wire form of a job's state — what GET /v1/jobs/{id}
@@ -161,8 +163,8 @@ type Queue struct {
 	jobs    map[string]*job
 	order   []*job // submission order
 	leases  map[string]*lease
-	jobSeq  int // persistent: restored from journaled ids
-	leaseSe int // process-local: restarts void leases
+	jobSeq  int            // persistent: restored from journaled ids
+	leaseSe int            // process-local: restarts void leases
 	rr      map[int]string // per-priority round-robin cursor (last token served)
 	closed  bool
 
@@ -259,14 +261,14 @@ func (q *Queue) Submit(token string, spec GridSpec, exps []string, scale exp.Sca
 	q.jobSeq++
 	q.submits++
 	j := &job{
-		id:       fmt.Sprintf("j%d", q.jobSeq),
-		token:    token,
-		priority: spec.Priority,
-		spec:     spec,
-		exps:     exps,
-		scale:    scale,
-		state:    StateQueued,
-		seq:      q.jobSeq,
+		id:        fmt.Sprintf("j%d", q.jobSeq),
+		token:     token,
+		priority:  spec.Priority,
+		spec:      spec,
+		exps:      exps,
+		scale:     scale,
+		state:     StateQueued,
+		seq:       q.jobSeq,
 		totalKeys: totalKeys,
 		warmKeys:  warmKeys,
 		subs:      make(map[chan JobStatus]struct{}),
@@ -287,9 +289,15 @@ func (q *Queue) Submit(token string, spec GridSpec, exps []string, scale exp.Sca
 	q.mu.Unlock()
 
 	// The submission record is what makes the id durable — AppendJob
-	// syncs before Submit's caller can hand the id to the client.
+	// syncs before Submit's caller can hand the id to the client. It
+	// carries the deduped item list, so a restore queues exactly this.
+	names := make([]string, len(items))
+	for i, sp := range items {
+		names[i] = sp.String()
+	}
 	_ = q.opts.Journal.AppendJob(journal.JobRecord{
 		ID: j.id, Token: token, Priority: spec.Priority, Spec: spec.encode(),
+		Items: names, Warm: warmKeys,
 	})
 	return st, nil
 }
@@ -625,7 +633,7 @@ func (q *Queue) Subscribe(id, token string) (<-chan JobStatus, func(), bool) {
 	return ch, cancel, true
 }
 
-// Item returns an acked item's result file for finalize.
+// ackedFiles lists a job's acked shard result files, in item order.
 func (q *Queue) ackedFiles(id string) []string {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -680,7 +688,7 @@ func (q *Queue) jobForFinalize(id string) (exps []string, scale exp.Scale, ok bo
 
 // Depth snapshots the queue gauges for /metrics.
 type Depth struct {
-	Pending, Leased, ActiveJobs int
+	Pending, Leased, ActiveJobs                           int
 	Submits, DedupJobs, Grants, Acks, Expiries, ItemFails int64
 }
 
@@ -689,7 +697,7 @@ func (q *Queue) Stats() Depth {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	d := Depth{
-		Leased: len(q.leases),
+		Leased:  len(q.leases),
 		Submits: q.submits, DedupJobs: q.dedupJobs, Grants: q.grants,
 		Acks: q.acks, Expiries: q.expiries, ItemFails: q.itemFails,
 	}
@@ -733,8 +741,9 @@ type RestoreSummary struct {
 }
 
 // Restore folds replayed journal records into the queue: submissions
-// re-expand (the journal fingerprint pins schema and scale table, so a
-// spec that validated once validates again), terminal transitions
+// come back with exactly the work items they were queued with (the
+// journal fingerprint pins schema and scale table, so a spec that
+// validated once validates again), terminal transitions
 // retire, acks mark their items complete, and lease grants count toward
 // attempt budgets. Live leases are not restored — a restarted daemon
 // cannot heartbeat-check workers it never talked to, so unacked items
@@ -769,7 +778,7 @@ func (q *Queue) Restore(rec *journal.Recovery, scales map[string]exp.Scale) (Res
 		j := &job{
 			id: jr.ID, token: jr.Token, priority: jr.Priority,
 			spec: spec, exps: exps, scale: scale,
-			state: StateQueued, totalKeys: len(total),
+			state: StateQueued, totalKeys: len(total), warmKeys: jr.Warm,
 			subs: make(map[chan JobStatus]struct{}),
 		}
 		// A numeric id beyond the counter advances it; ids never reuse.
@@ -778,8 +787,20 @@ func (q *Queue) Restore(rec *journal.Recovery, scales map[string]exp.Scale) (Res
 			q.jobSeq = n
 		}
 		j.seq = n
-		for i := 0; i < spec.Shards; i++ {
-			j.items = append(j.items, &workItem{shard: shard.Spec{Index: i, Count: spec.Shards}})
+		items := jr.Items
+		if items == nil && jr.Warm == 0 {
+			// A record from before item lists were journaled: every
+			// slice, as such a daemon restored it.
+			for i := 0; i < spec.Shards; i++ {
+				items = append(items, shard.Spec{Index: i, Count: spec.Shards}.String())
+			}
+		}
+		for _, name := range items {
+			sp, err := shard.Parse(name)
+			if err != nil {
+				return sum, fmt.Errorf("restoring %s: %w", jr.ID, err)
+			}
+			j.items = append(j.items, &workItem{shard: sp})
 		}
 		q.jobs[j.id] = j
 		q.order = append(q.order, j)

@@ -394,3 +394,53 @@ func TestQueueRestoreFinalizingAndTerminal(t *testing.T) {
 		t.Errorf("terminal job restored as %s, want done", cur.State)
 	}
 }
+
+// TestQueueRestoreKeepsDedupedItems: a restore brings a job back with
+// exactly the work items it was queued with. A half-warm job keeps its
+// one cold item (not every slice of its spec), and a fully-warm job
+// stays in finalizing with no items, its warm-key count intact.
+func TestQueueRestoreKeepsDedupedItems(t *testing.T) {
+	dir := t.TempDir()
+	q1, _ := newTestQueue(t, dir, QueueOptions{})
+	spec := GridSpec{Exps: []string{"fig12"}, Scale: "tiny", Shards: 4, Priority: PriorityNormal}
+	exps, scale, err := spec.normalize(testScales())
+	if err != nil {
+		t.Fatal(err)
+	}
+	half, err := q1.Submit("a", spec, exps, scale, 6, 5, []shard.Spec{{Index: 2, Count: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := q1.Submit("a", spec, exps, scale, 6, 6, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.State != StateFinalizing {
+		t.Fatalf("fully-warm job submitted as %s, want finalizing", warm.State)
+	}
+	q1.Close()
+	q1.opts.Journal.Close()
+
+	q2, sum := newTestQueue(t, dir, QueueOptions{})
+	if sum.ItemsRequeued != 1 {
+		t.Errorf("restore requeued %d item(s), want 1", sum.ItemsRequeued)
+	}
+	if len(sum.Finalizing) != 1 || sum.Finalizing[0] != warm.ID {
+		t.Errorf("restore finalizing = %v, want [%s]", sum.Finalizing, warm.ID)
+	}
+	cur, _ := q2.Status(half.ID, "a")
+	if cur.State != StateQueued || cur.Items != 1 || cur.Pending != 1 || cur.WarmKeys != 5 {
+		t.Errorf("restored half-warm job %+v, want queued with 1 pending item and 5 warm keys", cur)
+	}
+	cur, _ = q2.Status(warm.ID, "a")
+	if cur.State != StateFinalizing || cur.Items != 0 || cur.WarmKeys != 6 {
+		t.Errorf("restored fully-warm job %+v, want finalizing with no items and 6 warm keys", cur)
+	}
+	g, ok := q2.Lease("w", time.Now())
+	if !ok || g.Job != half.ID || g.Item != "2/4" {
+		t.Fatalf("first lease after restore = %+v (ok=%v), want %s item 2/4", g, ok, half.ID)
+	}
+	if g, ok := q2.Lease("w", time.Now()); ok {
+		t.Errorf("restored queue leased %s item %s; only one item was ever queued", g.Job, g.Item)
+	}
+}

@@ -17,10 +17,10 @@ import (
 	"pracsim/internal/retry"
 )
 
-// reference runs the tiny grid once, directly (no store, no daemon), and
-// memoizes the answer every service test compares against: the CSV every
-// path must reproduce byte-identically and the execution count a
-// zero-redundancy pipeline must exactly match.
+// reference runs the tiny grid once, serially and directly (no store,
+// no daemon), and memoizes the answer every service test compares
+// against: the CSV every path must reproduce byte-identically and the
+// execution count a zero-redundancy pipeline must exactly match.
 var (
 	refMu   sync.Mutex
 	refCSV  string
@@ -32,7 +32,9 @@ func reference(t *testing.T) (string, int64) {
 	refMu.Lock()
 	defer refMu.Unlock()
 	if refCSV == "" {
-		sess := exp.NewRunner(testScales()["tiny"])
+		scale := testScales()["tiny"]
+		scale.Serial = true
+		sess := exp.NewRunner(scale)
 		rep, err := sess.Run("fig12")
 		if err != nil {
 			t.Fatalf("reference run: %v", err)

@@ -108,32 +108,6 @@ func (s *Runner) JournalStats() journal.Stats {
 	return s.r.journal.Stats()
 }
 
-// SessionSummary snapshots a session's execution counters in one plain
-// struct — what a shard worker reports back to the dispatch driver and
-// what the CLIs print per session.
-type SessionSummary struct {
-	// Executed counts simulations actually run (store hits and imported
-	// shard results excluded).
-	Executed int64
-	// CachedRuns counts distinct resolved run keys (the single-flight
-	// cache size).
-	CachedRuns int
-	// Store is the persistent store's traffic; zero without a store.
-	Store store.Stats
-	// Journal is the session journal's traffic; zero without a journal.
-	Journal journal.Stats
-}
-
-// Summary snapshots the session's execution counters.
-func (s *Runner) Summary() SessionSummary {
-	return SessionSummary{
-		Executed:   s.Executed(),
-		CachedRuns: s.CachedRuns(),
-		Store:      s.StoreStats(),
-		Journal:    s.JournalStats(),
-	}
-}
-
 // ExportShard writes every owned run this session resolved — executed,
 // or served by a warm store or seed — to a shard result file (sorted by
 // run key, so the file is deterministic), reporting how many runs it
@@ -189,7 +163,7 @@ func (s *Runner) ImportShards(paths ...string) (int, error) {
 		s.r.mu.Unlock()
 		if s.r.store != nil {
 			for _, e := range entries {
-				// Stat-before-Put: a dispatch fleet's workers usually
+				// Stat-before-Put: a dispatched fleet's workers usually
 				// resolved these runs *from* this very store, and a
 				// remote Put re-uploads the whole grid the fleet just
 				// downloaded. A cheap existence probe (header-only on

@@ -478,3 +478,12 @@ func TestCorruptRemoteStoreDegradesToRecompute(t *testing.T) {
 		t.Errorf("stats = %+v, want zero hits and remote errors", st)
 	}
 }
+
+// TestImportShardsRejectsEmptyPath: a torn -merge list reaching the
+// session must fail as an empty path, not as a confusing open("").
+func TestImportShardsRejectsEmptyPath(t *testing.T) {
+	sess := NewRunner(storeScale())
+	if _, err := sess.ImportShards(""); err == nil || !strings.Contains(err.Error(), "empty shard file path") {
+		t.Errorf("ImportShards(\"\") = %v, want empty-path error", err)
+	}
+}

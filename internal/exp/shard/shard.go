@@ -98,9 +98,8 @@ type header struct {
 //
 // The file is published atomically (temp file + rename, the store's
 // pattern): a worker crashing or being killed mid-write leaves no file
-// behind rather than a torn one, and a concurrent reader — the
-// dispatcher merging while a straggler's backup attempt is still
-// running — only ever observes a complete, self-consistent file.
+// behind rather than a torn one, and a concurrent reader only ever
+// observes a complete, self-consistent file.
 func WriteFile(path string, schema int, sp Spec, entries []Entry) error {
 	sorted := make([]Entry, len(entries))
 	copy(sorted, entries)
@@ -172,9 +171,8 @@ func ReadFile(path string, schema int) ([]Entry, error) {
 
 // Validate streams a shard file through the same format, schema and
 // truncation checks as ReadFile but discards the entries, reporting
-// only how many runs the file holds — the dispatcher's convergence
-// check, which must not hold a full-scale shard in memory just to
-// count it.
+// only how many runs the file holds — the service's ack check, which
+// must not hold a full-scale shard in memory twice.
 func Validate(path string, schema int) (int, error) {
 	return scanFile(path, schema, nil)
 }

@@ -48,7 +48,7 @@ type Backend interface {
 	Delete(key string) error
 	// Spec returns the -store argument that reopens this backend: the
 	// directory for Disk, the base URL for HTTP and Tiered. The
-	// dispatch driver forwards it to every fleet worker.
+	// dispatch driver forwards it to every pull child.
 	Spec() string
 }
 

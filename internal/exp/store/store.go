@@ -99,7 +99,7 @@ func (s *Store) Backend() Backend { return s.b }
 
 // Spec reports the -store argument that reopens this store: a directory
 // for disk stores, the server URL for remote and tiered ones. The
-// dispatch driver forwards it to every fleet worker.
+// dispatch driver forwards it to every pull child.
 func (s *Store) Spec() string { return s.b.Spec() }
 
 // Dir reports the store's root directory (its Spec); kept for the

@@ -1,6 +1,6 @@
 // Package fault is the deterministic, seed-driven failpoint framework:
 // named injection points at every I/O boundary of the store/shard/
-// dispatch pipeline, activated per-process by a compact schedule spec
+// journal/service pipeline, activated per-process by a compact schedule spec
 // (the -faults flag or $PRACSIM_FAULTS), so "what happens when several
 // things fail at once" is a reproducible input to a run rather than an
 // anecdote from production.
@@ -15,9 +15,9 @@
 // a cap on total firings (default unlimited). Every firing decision is a
 // pure function of (seed, salt, point, rule, hit ordinal), so the same
 // spec replays the same fault sequence — the salt ($PRACSIM_FAULT_SALT,
-// set per attempt by the dispatch driver) decorrelates retried worker
-// processes that would otherwise re-draw the exact faults that killed
-// their predecessor.
+// set per child launch by the dispatch fleet) decorrelates respawned
+// worker processes that would otherwise re-draw the exact faults that
+// killed their predecessor.
 //
 // When no plan is enabled the per-hit cost is one atomic pointer load
 // and a nil check — the framework is free on the hot path, pinned by
@@ -39,12 +39,12 @@ import (
 
 // EnvVar names the environment variable a process reads its fault
 // schedule from (the -faults flag defaults to it). Child processes — a
-// dispatch fleet's re-exec'd workers — inherit it, so one spec faults a
+// dispatch fleet's pull children — inherit it, so one spec faults a
 // whole process tree.
 const EnvVar = "PRACSIM_FAULTS"
 
 // SaltEnvVar names the per-process salt mixed into every firing draw.
-// The dispatch driver sets it per worker attempt so a retried worker
+// The dispatch fleet sets it per child launch so a respawned child
 // does not deterministically re-draw the faults that failed its
 // predecessor, while the run as a whole stays replayable.
 const SaltEnvVar = "PRACSIM_FAULT_SALT"
@@ -81,11 +81,9 @@ const (
 	ShardRead = "shard.read"
 	// ShardWrite fires in the shard-file writer: err, short.
 	ShardWrite = "shard.write"
-	// DispatchSpawn fires when the dispatch driver launches a worker
-	// attempt: err (spawn fails), delay (launch is delayed).
-	DispatchSpawn = "dispatch.spawn"
-	// DispatchWorker fires against a running worker attempt: kill
-	// (SIGKILL after the duration operand), delay.
+	// DispatchWorker fires when the dispatch fleet launches a pull
+	// child: kill (SIGKILL its process group after the duration
+	// operand), delay (the launch waits the operand).
 	DispatchWorker = "dispatch.worker"
 	// JournalAppend fires in the session journal's record append: err
 	// (append fails, nothing written), short (a partial frame lands on
@@ -134,8 +132,8 @@ var knownPoints = map[string]bool{
 	StoreHTTPGet: true, StoreHTTPPut: true,
 	ServerGet: true, ServerPut: true,
 	ShardRead: true, ShardWrite: true,
-	DispatchSpawn: true, DispatchWorker: true,
-	JournalAppend: true, JournalSync: true,
+	DispatchWorker: true,
+	JournalAppend:  true, JournalSync: true,
 	ServiceSubmit: true, QueueLease: true, QueueAck: true, ServiceStream: true,
 }
 
@@ -192,7 +190,7 @@ type Plan struct {
 	Salt string
 	// LogTo, when non-nil, receives one line per fired fault — worker
 	// stderr by default, so a dispatch fleet's injected faults surface
-	// in the driver's prefixed stream.
+	// in the driver's slot-prefixed stream.
 	LogTo io.Writer
 
 	rules map[string][]*rule

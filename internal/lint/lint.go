@@ -9,7 +9,7 @@
 //     output, encoding or event scheduling (map order would make CSVs
 //     flip run to run).
 //   - failpoint — every direct os/file/network I/O call in the
-//     store/shard/journal/dispatch pipeline must be reachable through a
+//     store/shard/journal/service pipeline must be reachable through a
 //     function that fires a fault failpoint (so chaos schedules can
 //     reach it), and every failpoint name used in code or in a schedule
 //     literal must exist in internal/fault's registry (a typo'd point
@@ -142,7 +142,6 @@ func DefaultConfig() Config {
 			"pracsim/internal/exp/store",
 			"pracsim/internal/exp/shard",
 			"pracsim/internal/exp/journal",
-			"pracsim/internal/exp/dispatch",
 			"pracsim/internal/exp/service",
 		},
 		FaultPkg:      "pracsim/internal/fault",

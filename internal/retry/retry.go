@@ -1,7 +1,7 @@
 // Package retry is the pipeline's one retry/backoff/deadline policy:
 // capped exponential backoff with deterministic jitter and a per-attempt
-// context deadline. The store client, the dispatch driver's shard
-// requeue, and the CLIs' merge paths all schedule retries through it, so
+// context deadline. The store client, the job queue's item requeue, the
+// pull worker and the CLIs' merge paths all schedule retries through it, so
 // "how failure is paced" is one tunable policy instead of scattered
 // constants — and, seeded, it is reproducible.
 package retry
@@ -47,9 +47,8 @@ func (p Policy) max() time.Duration {
 // Delay returns the backoff before the given retry of op (attempt 1 is
 // the first retry, i.e. the wait after the first failure): the capped
 // exponential with deterministic half-to-full jitter drawn from
-// (seed, op, attempt). Exported so non-blocking schedulers — the
-// dispatch event loop — can arm timers with policy pacing instead of
-// sleeping.
+// (seed, op, attempt). Exported so non-blocking schedulers — the job
+// queue's requeue — can pace with the policy instead of sleeping.
 func (p Policy) Delay(op string, attempt int) time.Duration {
 	if p.Base <= 0 || attempt < 1 {
 		return 0

@@ -20,11 +20,10 @@ import (
 	"pracsim/internal/attack"
 	"pracsim/internal/dram"
 	"pracsim/internal/exp"
-	"pracsim/internal/exp/dispatch"
 	"pracsim/internal/exp/journal"
+	"pracsim/internal/exp/service"
 	"pracsim/internal/exp/shard"
 	"pracsim/internal/exp/store"
-	"pracsim/internal/exp/service"
 	storeserver "pracsim/internal/exp/store/server"
 	"pracsim/internal/fault"
 	"pracsim/internal/httpd"
@@ -150,7 +149,7 @@ type (
 	// for multi-machine grids, and a crash-recovery run journal.
 	SessionOptions = exp.SessionOptions
 	// RunJournal is the append-only crash-recovery session journal:
-	// completed runs, converged shards and finished experiments recorded
+	// completed runs, exports and finished experiments recorded
 	// durably so an interrupted invocation resumes instead of rerunning.
 	RunJournal = journal.Journal
 	// JournalOptions configures a journal (schema, session fingerprint,
@@ -162,8 +161,6 @@ type (
 	// JournalStats counts journal traffic (replayed, resume hits,
 	// appended, torn-tail bytes, syncs).
 	JournalStats = journal.Stats
-	// JournalShardRecord is one journaled shard convergence.
-	JournalShardRecord = journal.ShardRecord
 	// RunStore is the persistent, content-addressed run store: a
 	// counting, degrade-to-miss front over a StoreBackend.
 	RunStore = store.Store
@@ -197,20 +194,6 @@ type (
 	StoreEvictionStats = store.EvictionStats
 	// ShardSpec selects one deterministic shard of a partitioned grid.
 	ShardSpec = shard.Spec
-	// DispatchOptions configures a shard-dispatch fleet run: worker
-	// count (fixed, or elastic between MinWorkers/MaxWorkers), command
-	// (re-exec or sh -c fleet template), per-shard attempt budget and
-	// straggler policy (journal-resumed steal or speculative backup).
-	DispatchOptions = dispatch.Options
-	// DispatchResult is a converged dispatch: one validated shard file
-	// per shard plus per-shard reports (slot, attempts, runs, wall,
-	// worker summary).
-	DispatchResult = dispatch.Result
-	// DispatchShardReport summarizes one converged shard.
-	DispatchShardReport = dispatch.ShardReport
-	// WorkerSummary is the machine-readable trailer a shard worker
-	// prints; the driver folds it into the shard's report.
-	WorkerSummary = dispatch.Summary
 	// HTTPStoreOptions tunes the pracstored client's failure policy:
 	// per-attempt deadline, attempt budget, backoff base, breaker
 	// cooldown.
@@ -283,10 +266,6 @@ var (
 	DefaultRunStoreDir = store.DefaultDir
 	// ParseShard reads an "i/n" shard spec.
 	ParseShard = shard.Parse
-	// Dispatch spawns `-shard i/n` workers across a pool, retries
-	// failures and stragglers, and returns validated shard files for
-	// ImportShards to merge — the one-command fleet run.
-	Dispatch = dispatch.Run
 	// OpenJournal opens (recovering if present) a crash-recovery session
 	// journal at a path.
 	OpenJournal = journal.Open
@@ -378,11 +357,6 @@ var (
 	// NewHTTPMetrics returns an empty per-endpoint metrics tracker.
 	NewHTTPMetrics = httpd.NewMetrics
 )
-
-// ErrDispatchInterrupted reports a dispatch cancelled mid-fleet (signal
-// drain); converged shards are checkpointed in the journal and a
-// re-invocation with the same plan adopts them.
-var ErrDispatchInterrupted = dispatch.ErrInterrupted
 
 // PolicyTPRACpb is the Section 7.2 per-bank TB-RFM extension.
 const PolicyTPRACpb = sim.PolicyTPRACpb
