@@ -38,6 +38,7 @@
 //	         [-shard i/n [-shardout FILE]]
 //	         [-merge FILE,FILE,...] [-csvdir DIR]
 //	         [-dispatch N [-dispatch-cmd TEMPLATE]]
+//	         [-cpuprofile FILE] [-memprofile FILE]
 //	tpracsim -store-info|-store-prune [-store DIR|URL|auto]
 //	tpracsim -pull http://host:8460 [-pull-token SECRET] [-pull-idle-exit 30s]
 //
@@ -53,6 +54,11 @@
 // when a write pushes past it, and an evicted entry is an ordinary miss
 // — recomputed and usually re-published, never an error. Under
 // -dispatch the budget is forwarded to every pull child.
+//
+// -cpuprofile and -memprofile profile the invocation itself with
+// runtime/pprof, for `go tool pprof`: the CPU profile covers the whole
+// run, and the memory profile, written at a normal exit, holds every
+// sampled allocation since start (pprof's alloc_space and alloc_objects).
 //
 // -journal makes a session crash-safe: every completed run is appended
 // to a checksummed journal as it finishes (under -dispatch, the queue
@@ -74,6 +80,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"syscall"
@@ -118,7 +125,15 @@ func main() {
 	pullURL := flag.String("pull", "", "run as a pull worker for the pracsimd experiment service at this URL (leases and executes shard work items until signaled)")
 	pullToken := flag.String("pull-token", os.Getenv("PRACSIMD_TOKEN"), "bearer token for -pull (default $PRACSIMD_TOKEN)")
 	pullIdleExit := flag.Duration("pull-idle-exit", 0, "with -pull: exit cleanly after this long without leased work (0 = run until signaled)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
+	memProfile := flag.String("memprofile", "", "at exit, write a memory profile of every allocation since start to this file")
 	flag.Parse()
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	defer stopProfiles()
 
 	if *faults != "" {
 		p, err := fault.Parse(*faults)
@@ -345,6 +360,49 @@ func main() {
 			fmt.Fprintf(os.Stderr, "tpracsim: closing journal: %v\n", err)
 		}
 	}
+}
+
+// startProfiles starts the -cpuprofile CPU profile and returns the func
+// that stops it and writes the -memprofile allocation profile. Both are
+// written only on a normal exit from main.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpuFile *os.File
+	if cpuPath != "" {
+		if cpuFile, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, fmt.Errorf("-cpuprofile: %w", err)
+		}
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			if err := cpuFile.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "tpracsim: -cpuprofile: %v\n", err)
+			}
+		}
+		if memPath != "" {
+			if err := writeAllocProfile(memPath); err != nil {
+				fmt.Fprintf(os.Stderr, "tpracsim: -memprofile: %v\n", err)
+			}
+		}
+	}, nil
+}
+
+// writeAllocProfile writes the allocs profile: every sampled allocation
+// since the process started, live or freed.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runPull serves -pull: the pull-worker loop against a pracsimd daemon.

@@ -67,14 +67,6 @@ type Stats struct {
 	Stalls     int64 // rejected accesses (MSHR/downstream full)
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64
-	rrpv  uint8
-}
-
 // mshr is one slot of a level's miss-handling slab. Slots are recycled,
 // never freed: waiters keeps its capacity across misses and fill is
 // bound to the slot once, in New, so a miss allocates nothing.
@@ -82,20 +74,31 @@ type mshr struct {
 	line    uint64
 	waiters []func(at ticks.T)
 	write   bool             // at least one merged request was a store
+	next    int32            // next in-flight slot of the same set, or -1
 	fill    func(at ticks.T) // completes this slot's fetch
 }
 
 // Cache is one level of the hierarchy.
+//
+// Way state is flat: way w of set s lives at index s*Ways+w of keys,
+// dirty and the policy's metadata array. A way's key is tag<<1|1 while
+// it holds a line and 0 while it is empty, so a hit test is one compare
+// per way. The shift drops a tag's top bit, which no line address uses:
+// line addresses are byte addresses >> 6.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
 	setShift uint // log2(Sets): a line address's tag is the bits above it
 	next     Fetcher
 
-	mshrs   []mshr         // the slab: cfg.MSHRs slots
-	free    []int          // idle slab slots, used as a stack
-	pending map[uint64]int // line address -> slot of its in-flight fetch
-	lruTick uint64
+	keys  []uint64 // per way: tag<<1|1 if valid, 0 if empty
+	dirty []bool   // per way
+	lru   []uint64 // per way, LRU only: the last touch's stamp
+	rrpv  []uint8  // per way, SRRIP only: re-reference prediction value
+
+	mshrs    []mshr  // the slab: cfg.MSHRs slots
+	free     []int   // idle slab slots, used as a stack
+	inFlight []int32 // per set: first slot of its chain of in-flight fetches, or -1
+	lruTick  uint64
 
 	prefetcher *IPStride
 	targets    []uint64 // prefetcher output buffer, reused every access
@@ -119,19 +122,27 @@ func New(cfg Config, next Fetcher) (*Cache, error) {
 	case cfg.Latency < 0:
 		return nil, fmt.Errorf("cache %s: negative latency", cfg.Name)
 	}
-	sets := make([][]line, cfg.Sets)
-	backing := make([]line, cfg.Sets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
+	n := cfg.Sets * cfg.Ways
 	c := &Cache{
 		cfg:      cfg,
-		sets:     sets,
 		setShift: uint(bits.TrailingZeros(uint(cfg.Sets))),
 		next:     next,
+		keys:     make([]uint64, n),
+		dirty:    make([]bool, n),
 		mshrs:    make([]mshr, cfg.MSHRs),
 		free:     make([]int, cfg.MSHRs),
-		pending:  make(map[uint64]int, cfg.MSHRs),
+		inFlight: make([]int32, cfg.Sets),
+	}
+	switch cfg.Repl {
+	case LRU:
+		c.lru = make([]uint64, n)
+	case SRRIP:
+		c.rrpv = make([]uint8, n)
+	default:
+		return nil, fmt.Errorf("cache %s: unknown replacement policy %d", cfg.Name, int(cfg.Repl))
+	}
+	for s := range c.inFlight {
+		c.inFlight[s] = -1
 	}
 	for i := range c.mshrs {
 		c.mshrs[i].fill = func(at ticks.T) { c.fill(i, at) }
@@ -167,13 +178,43 @@ func (c *Cache) NextWork(ticks.T) ticks.T { return ticks.Never }
 // Config returns the level's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) setOf(lineAddr uint64) []line { return c.sets[lineAddr&uint64(c.cfg.Sets-1)] }
-func (c *Cache) tagOf(lineAddr uint64) uint64 { return lineAddr >> c.setShift }
+// setOf returns a line address's set index.
+func (c *Cache) setOf(lineAddr uint64) int { return int(lineAddr & uint64(c.cfg.Sets-1)) }
 
-// lineOf rebuilds the address of a resident line from its tag and the
-// set it shares with lineAddr.
-func (c *Cache) lineOf(tag, lineAddr uint64) uint64 {
-	return tag<<c.setShift | lineAddr&uint64(c.cfg.Sets-1)
+// keyOf returns the way key a line address is stored under.
+func (c *Cache) keyOf(lineAddr uint64) uint64 { return lineAddr>>c.setShift<<1 | 1 }
+
+// lineOf rebuilds the address of the line stored under key in set.
+func (c *Cache) lineOf(key uint64, set int) uint64 { return key>>1<<c.setShift | uint64(set) }
+
+// lookup returns the way index holding key in set, or -1.
+func (c *Cache) lookup(set int, key uint64) int {
+	base := set * c.cfg.Ways
+	for w, k := range c.keys[base : base+c.cfg.Ways] {
+		if k == key {
+			return base + w
+		}
+	}
+	return -1
+}
+
+// pending returns the slab slot fetching lineAddr into set, or -1.
+func (c *Cache) pending(set int, lineAddr uint64) int {
+	for i := c.inFlight[set]; i >= 0; i = c.mshrs[i].next {
+		if c.mshrs[i].line == lineAddr {
+			return int(i)
+		}
+	}
+	return -1
+}
+
+// unlink removes slot i from set's in-flight chain.
+func (c *Cache) unlink(set, i int) {
+	p := &c.inFlight[set]
+	for int(*p) != i {
+		p = &c.mshrs[*p].next
+	}
+	*p = c.mshrs[i].next
 }
 
 // Access performs a demand access from above (core or upper level). pc is
@@ -194,34 +235,27 @@ func (c *Cache) Access(lineAddr uint64, write bool, pc uint64, now ticks.T, done
 
 func (c *Cache) access(lineAddr uint64, write bool, now ticks.T, done func(at ticks.T), prefetch bool) bool {
 	set := c.setOf(lineAddr)
-	tag := c.tagOf(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			c.touch(&set[i])
-			if write {
-				set[i].dirty = true
-			}
-			if !prefetch {
-				c.stats.Hits++
-			}
-			if done != nil {
-				done(now + c.cfg.Latency)
-			}
-			return true
+	if w := c.lookup(set, c.keyOf(lineAddr)); w >= 0 {
+		c.touch(w)
+		if write {
+			c.dirty[w] = true
 		}
+		if !prefetch {
+			c.stats.Hits++
+		}
+		if done != nil {
+			done(now + c.cfg.Latency)
+		}
+		return true
 	}
-	if prefetch {
+	p := c.pending(set, lineAddr)
+	if prefetch && (len(c.free) == 0 || p >= 0) {
 		// Prefetches are best-effort: drop rather than stall.
-		if len(c.free) == 0 {
-			return false
-		}
-		if _, pending := c.pending[lineAddr]; pending {
-			return false
-		}
+		return false
 	}
 	// Miss: merge into an existing MSHR if the line is already in flight.
-	if i, pending := c.pending[lineAddr]; pending {
-		m := &c.mshrs[i]
+	if p >= 0 {
+		m := &c.mshrs[p]
 		if done != nil {
 			m.waiters = append(m.waiters, done)
 		}
@@ -245,9 +279,9 @@ func (c *Cache) access(lineAddr uint64, write bool, now ticks.T, done func(at ti
 	}
 	// Register before fetching: a downstream hit may complete (and fill)
 	// synchronously, and fill must find the MSHR it is retiring.
-	c.pending[lineAddr] = i
+	m.next, c.inFlight[set] = c.inFlight[set], int32(i)
 	if !c.next.Fetch(lineAddr, now+c.cfg.Latency, m.fill) {
-		delete(c.pending, lineAddr)
+		c.unlink(set, i)
 		c.release(i)
 		c.stats.Stalls++
 		return false
@@ -267,19 +301,26 @@ func (c *Cache) release(i int) {
 	c.free = append(c.free, i)
 }
 
-// fill installs the line fetched by slot i, evicting (and writing back)
-// as needed, then wakes all merged waiters. The slot returns to the free
-// stack only after its waiters ran, so their slice is never reused
-// underneath the loop.
+// fill installs the line fetched by slot i, then wakes all merged
+// waiters. The slot returns to the free stack only after its waiters
+// ran, so their slice is never reused underneath the loop.
 func (c *Cache) fill(i int, at ticks.T) {
 	m := &c.mshrs[i]
-	lineAddr := m.line
-	delete(c.pending, lineAddr)
-	set := c.setOf(lineAddr)
-	victim := c.pickVictim(set)
-	if victim.valid && victim.dirty {
-		// The victim shares the incoming line's set index.
-		if !c.next.WriteBack(c.lineOf(victim.tag, lineAddr), at) {
+	set := c.setOf(m.line)
+	c.unlink(set, i)
+	c.install(set, c.keyOf(m.line), m.write, at)
+	for _, w := range m.waiters {
+		w(at + c.cfg.Latency)
+	}
+	c.release(i)
+}
+
+// install places key in set, evicting (and writing back) a victim as
+// needed.
+func (c *Cache) install(set int, key uint64, dirty bool, at ticks.T) {
+	w := c.pickVictim(set)
+	if c.keys[w] != 0 && c.dirty[w] {
+		if !c.next.WriteBack(c.lineOf(c.keys[w], set), at) {
 			// Caches always accept writebacks and the MC adapter
 			// buffers them, so a refusal is a wiring bug, not a
 			// runtime condition to absorb.
@@ -287,67 +328,54 @@ func (c *Cache) fill(i int, at ticks.T) {
 		}
 		c.stats.Writebacks++
 	}
-	victim.valid = true
-	victim.dirty = m.write
-	victim.tag = c.tagOf(lineAddr)
-	c.insertMeta(victim)
-	for _, w := range m.waiters {
-		w(at + c.cfg.Latency)
+	c.keys[w], c.dirty[w] = key, dirty
+	if c.lru != nil {
+		c.touch(w)
+	} else {
+		c.rrpv[w] = srripMax - 1 // long re-reference prediction on insert
 	}
-	c.release(i)
 }
 
-// touch updates replacement metadata on a hit.
-func (c *Cache) touch(l *line) {
-	switch c.cfg.Repl {
-	case LRU:
+// touch marks way w as just used: the newest LRU stamp, or SRRIP's
+// near-immediate re-reference prediction.
+func (c *Cache) touch(w int) {
+	if c.lru != nil {
 		c.lruTick++
-		l.lru = c.lruTick
-	case SRRIP:
-		l.rrpv = 0
+		c.lru[w] = c.lruTick
+	} else {
+		c.rrpv[w] = 0
 	}
 }
 
-// insertMeta initializes replacement metadata on fill.
-func (c *Cache) insertMeta(l *line) {
-	switch c.cfg.Repl {
-	case LRU:
-		c.lruTick++
-		l.lru = c.lruTick
-	case SRRIP:
-		l.rrpv = srripMax - 1 // long re-reference prediction on insert
-	}
-}
-
-// pickVictim chooses the way to replace in a set.
-func (c *Cache) pickVictim(set []line) *line {
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
+// pickVictim returns the way of set to replace: the first empty way,
+// else the least recently used one (ties to the first) under LRU, else
+// the first way at the maximum RRPV after aging the set under SRRIP.
+func (c *Cache) pickVictim(set int) int {
+	lo, hi := set*c.cfg.Ways, (set+1)*c.cfg.Ways
+	for w := lo; w < hi; w++ {
+		if c.keys[w] == 0 {
+			return w
 		}
 	}
-	switch c.cfg.Repl {
-	case LRU:
-		victim := &set[0]
-		for i := 1; i < len(set); i++ {
-			if set[i].lru < victim.lru {
-				victim = &set[i]
+	if c.lru != nil {
+		victim := lo
+		for w := lo + 1; w < hi; w++ {
+			if c.lru[w] < c.lru[victim] {
+				victim = w
 			}
 		}
 		return victim
-	case SRRIP:
-		for {
-			for i := range set {
-				if set[i].rrpv >= srripMax {
-					return &set[i]
-				}
-			}
-			for i := range set {
-				set[i].rrpv++
+	}
+	rrpv := c.rrpv[lo:hi]
+	for {
+		for w, r := range rrpv {
+			if r >= srripMax {
+				return lo + w
 			}
 		}
-	default:
-		panic("cache: unknown replacement policy")
+		for w := range rrpv {
+			rrpv[w]++
+		}
 	}
 }
 
@@ -362,25 +390,12 @@ func (c *Cache) Fetch(lineAddr uint64, now ticks.T, done func(at ticks.T)) bool 
 // unconditionally; if the line must be fetched space, it is installed
 // without a downstream read since the data arrives complete.
 func (c *Cache) WriteBack(lineAddr uint64, now ticks.T) bool {
-	set := c.setOf(lineAddr)
-	tag := c.tagOf(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].dirty = true
-			c.touch(&set[i])
-			return true
-		}
+	set, key := c.setOf(lineAddr), c.keyOf(lineAddr)
+	if w := c.lookup(set, key); w >= 0 {
+		c.dirty[w] = true
+		c.touch(w)
+		return true
 	}
-	victim := c.pickVictim(set)
-	if victim.valid && victim.dirty {
-		if !c.next.WriteBack(c.lineOf(victim.tag, lineAddr), now) {
-			panic(fmt.Sprintf("cache %s: writeback refused by downstream", c.cfg.Name))
-		}
-		c.stats.Writebacks++
-	}
-	victim.valid = true
-	victim.dirty = true
-	victim.tag = tag
-	c.insertMeta(victim)
+	c.install(set, key, true, now)
 	return true
 }

@@ -265,6 +265,9 @@ func TestRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{Name: "x", Sets: 4, Ways: 1, MSHRs: 1}, nil); err == nil {
 		t.Error("nil downstream accepted")
 	}
+	if _, err := New(Config{Name: "x", Sets: 4, Ways: 1, MSHRs: 1, Repl: ReplKind(7)}, mem); err == nil {
+		t.Error("unknown replacement policy accepted")
+	}
 }
 
 func TestIPStrideDetectsStride(t *testing.T) {

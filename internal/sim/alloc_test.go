@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"pracsim/internal/ticks"
@@ -42,5 +43,25 @@ func TestSystemStepAllocFree(t *testing.T) {
 	}
 	if reads == 0 {
 		t.Fatal("guard did not reach the memory controller")
+	}
+}
+
+// TestNewSystemFootprint bounds what building the paper's 4-core system
+// allocates. Most of it is cache way state: one key word per way, a
+// dirty byte and the policy's byte (SRRIP) or word (LRU), about 1.9 MB
+// over the 8 MB LLC and four 512 KB L2s and 48 KB L1Ds.
+func TestNewSystemFootprint(t *testing.T) {
+	const limit = 2.5 * 1024 * 1024
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewSystem(DefaultSystemConfig(1024))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("NewSystem allocated %.2f MB", float64(got)/(1024*1024))
+	if got > limit {
+		t.Errorf("NewSystem allocated %.2f MB, want <= %.2f MB", float64(got)/(1024*1024), limit/(1024*1024))
 	}
 }
