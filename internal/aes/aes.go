@@ -123,11 +123,7 @@ func (c *Cipher) Encrypt(dst, src []byte) error {
 	if len(src) != BlockSize || len(dst) != BlockSize {
 		return fmt.Errorf("aes: blocks must be %d bytes (src %d, dst %d)", BlockSize, len(src), len(dst))
 	}
-	var s [4]uint32
-	for i := 0; i < 4; i++ {
-		s[i] = uint32(src[4*i])<<24 | uint32(src[4*i+1])<<16 | uint32(src[4*i+2])<<8 | uint32(src[4*i+3])
-		s[i] ^= c.rk[i]
-	}
+	s := c.whiten(src)
 
 	var t [4]uint32
 	for round := 1; round < 10; round++ {
@@ -137,10 +133,9 @@ func (c *Cipher) Encrypt(dst, src []byte) error {
 			b2 := byte(s[(col+2)%4] >> 8)
 			b3 := byte(s[(col+3)%4])
 			if round == 1 && c.Recorder != nil {
-				c.Recorder(FirstRoundAccess{Table: 0, Index: b0, Byte: 4 * col})
-				c.Recorder(FirstRoundAccess{Table: 1, Index: b1, Byte: (4*col + 5) % 16})
-				c.Recorder(FirstRoundAccess{Table: 2, Index: b2, Byte: (4*col + 10) % 16})
-				c.Recorder(FirstRoundAccess{Table: 3, Index: b3, Byte: (4*col + 15) % 16})
+				for _, a := range lookups(&s, col) {
+					c.Recorder(a)
+				}
 			}
 			t[col] = te[0][b0] ^ te[1][b1] ^ te[2][b2] ^ te[3][b3] ^ c.rk[4*round+col]
 		}
@@ -162,21 +157,41 @@ func (c *Cipher) Encrypt(dst, src []byte) error {
 	return nil
 }
 
-// FirstRoundAccesses returns the 16 first-round T-table accesses for a
-// plaintext without performing the whole encryption. Access i has index
-// p_i XOR k_i — the relation the side channel inverts.
-func (c *Cipher) FirstRoundAccesses(plaintext []byte) ([]FirstRoundAccess, error) {
+// whiten loads a 16-byte block as four big-endian columns and adds the
+// first round key: the state round 1's T-table lookups index with.
+func (c *Cipher) whiten(src []byte) [4]uint32 {
+	var s [4]uint32
+	for i := 0; i < 4; i++ {
+		s[i] = uint32(src[4*i])<<24 | uint32(src[4*i+1])<<16 | uint32(src[4*i+2])<<8 | uint32(src[4*i+3])
+		s[i] ^= c.rk[i]
+	}
+	return s
+}
+
+// lookups returns the four T-table lookups that compute output column col
+// from state s, in lookup order.
+func lookups(s *[4]uint32, col int) [4]FirstRoundAccess {
+	return [4]FirstRoundAccess{
+		{Table: 0, Index: byte(s[col] >> 24), Byte: 4 * col},
+		{Table: 1, Index: byte(s[(col+1)%4] >> 16), Byte: (4*col + 5) % 16},
+		{Table: 2, Index: byte(s[(col+2)%4] >> 8), Byte: (4*col + 10) % 16},
+		{Table: 3, Index: byte(s[(col+3)%4]), Byte: (4*col + 15) % 16},
+	}
+}
+
+// FirstRoundAccesses appends the 16 first-round T-table accesses for a
+// plaintext to dst, in the order Encrypt performs them, without the rest
+// of the encryption, and returns the extended slice. Access i has index
+// p_i XOR k_i — the relation the side channel inverts. With a dst of
+// spare capacity it allocates nothing.
+func (c *Cipher) FirstRoundAccesses(dst []FirstRoundAccess, plaintext []byte) ([]FirstRoundAccess, error) {
 	if len(plaintext) != BlockSize {
-		return nil, fmt.Errorf("aes: plaintext must be %d bytes, got %d", BlockSize, len(plaintext))
+		return dst, fmt.Errorf("aes: plaintext must be %d bytes, got %d", BlockSize, len(plaintext))
 	}
-	saved := c.Recorder
-	var accs []FirstRoundAccess
-	c.Recorder = func(a FirstRoundAccess) { accs = append(accs, a) }
-	var out [BlockSize]byte
-	err := c.Encrypt(out[:], plaintext)
-	c.Recorder = saved
-	if err != nil {
-		return nil, err
+	s := c.whiten(plaintext)
+	for col := 0; col < 4; col++ {
+		l := lookups(&s, col)
+		dst = append(dst, l[:]...)
 	}
-	return accs, nil
+	return dst, nil
 }

@@ -67,7 +67,7 @@ func TestFirstRoundIndicesArePXorK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accs, err := c.FirstRoundAccesses(pt)
+	accs, err := c.FirstRoundAccesses(nil, pt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestFirstRoundTableAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	accs, err := c.FirstRoundAccesses(make([]byte, BlockSize))
+	accs, err := c.FirstRoundAccesses(nil, make([]byte, BlockSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestInputValidation(t *testing.T) {
 	if err := c.Encrypt(make([]byte, 8), make([]byte, BlockSize)); err == nil {
 		t.Error("short dst accepted")
 	}
-	if _, err := c.FirstRoundAccesses(make([]byte, 8)); err == nil {
+	if _, err := c.FirstRoundAccesses(nil, make([]byte, 8)); err == nil {
 		t.Error("short plaintext accepted")
 	}
 }

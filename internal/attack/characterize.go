@@ -2,7 +2,6 @@ package attack
 
 import (
 	"fmt"
-	"sort"
 
 	"pracsim/internal/dram"
 	"pracsim/internal/memctrl"
@@ -61,10 +60,14 @@ func RunCharacterization(cfg CharacterizeConfig) (CharacterizeResult, error) {
 		return CharacterizeResult{}, err
 	}
 	probe.Start()
+	// The watcher is read only for spikes above the probe's baseline +
+	// 250 ns. That baseline is known only after the run, but it is never
+	// negative, so the watcher keeps nothing at or below 250 ns.
 	watcher, err := NewProber(env, 37, []int{3}, 0)
 	if err != nil {
 		return CharacterizeResult{}, err
 	}
+	watcher.KeepSpikesOnly()
 	watcher.Start()
 
 	// Victim: repeatedly push a row pair to NBO; each Alert's mitigation
@@ -92,16 +95,11 @@ func RunCharacterization(cfg CharacterizeConfig) (CharacterizeResult, error) {
 	if len(res.Samples) == 0 {
 		return res, fmt.Errorf("attack: probe collected no samples")
 	}
-	lats := make([]ticks.T, len(res.Samples))
-	for i, s := range res.Samples {
-		lats[i] = s.Latency
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	res.BaselineLatency = lats[len(lats)/2]
+	res.BaselineLatency = probe.Median()
 
 	det := &CoincidenceDetector{
-		ThrA:   res.BaselineLatency + ticks.FromNS(250),
-		ThrB:   res.BaselineLatency + ticks.FromNS(250),
+		ThrA:   res.BaselineLatency + spikeMargin,
+		ThrB:   res.BaselineLatency + spikeMargin,
 		Window: ticks.FromNS(600),
 	}
 	var sum ticks.T

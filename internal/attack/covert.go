@@ -109,11 +109,15 @@ func RunActivityChannel(cfg ActivityConfig) (ChannelResult, error) {
 		return ChannelResult{}, err
 	}
 
-	// Calibration: learn spike thresholds with the sender idle.
+	// Calibration: learn spike thresholds with the sender idle. Decoding
+	// reads only spikes, so the receivers store nothing below the lowest
+	// threshold a detector can have.
+	recvA.KeepSpikesOnly()
+	recvB.KeepSpikesOnly()
 	recvA.Start()
 	recvB.Start()
 	env.Run(4 * window)
-	detector, err := NewCoincidenceDetector(recvA.Samples, recvB.Samples)
+	detector, err := NewCoincidenceDetector(recvA, recvB)
 	if err != nil {
 		return ChannelResult{}, err
 	}
@@ -253,20 +257,23 @@ func RunCountChannel(cfg CountConfig) (ChannelResult, error) {
 	}
 
 	// The watcher runs in another rank for the whole transmission; a
-	// receiver spike coincident with a watcher spike is an RFM.
+	// receiver spike coincident with a watcher spike is an RFM. Only
+	// spikes are ever read back, so neither prober stores the rest.
 	watcher, err := NewProber(env, probeBankB, []int{watcherRow}, 0)
 	if err != nil {
 		return ChannelResult{}, err
 	}
+	watcher.KeepSpikesOnly()
 	watcher.Start()
 	calib, err := NewProber(env, probeBankA, []int{watcherRow}, 0)
 	if err != nil {
 		return ChannelResult{}, err
 	}
+	calib.KeepSpikesOnly()
 	calib.Start()
 	env.Run(3 * window)
 	calib.Stop()
-	detector, err := NewCoincidenceDetector(calib.Samples, watcher.Samples)
+	detector, err := NewCoincidenceDetector(calib, watcher)
 	if err != nil {
 		return ChannelResult{}, err
 	}
@@ -353,62 +360,102 @@ func runCountSymbol(env *Env, sender *Hammerer, watcher *Prober, det *Coincidenc
 // receiver from piling residual activations onto the just-mitigated shared
 // row, which would corrupt the next symbol.
 func runCountReceiver(env *Env, watcher *Prober, det *CoincidenceDetector, bank, row int, decoys []int, limit int, deadline ticks.T) (int, bool) {
-	result := -1
-	done := false
-	count := 0
-	di := 0
-	next := true // next access targets the shared row
-	var step func()
-	step = func() {
-		if done {
-			return
-		}
-		toTarget := next
-		next = !next
-		r := row
-		if !toTarget {
-			r = decoys[di%len(decoys)]
-			di++
-		}
-		arrive := env.Eng.Now()
-		ok := env.Read(bank, r, 0, func(at ticks.T) {
-			if toTarget {
-				count++
-			}
-			if at-arrive > det.ThrA {
-				// Candidate RFM: the watcher's coincident sample (both
-				// probes unblock together) lands within a burst or two,
-				// so a short hold suffices to verify.
-				candCount := count
-				env.Eng.At(at+ticks.FromNS(400), func(ticks.T) {
-					if det.HasCoincident(watcher.Samples, arrive) {
-						result = candCount
-						done = true
-						return
-					}
-					step() // refresh-induced: resume
-				})
-				return
-			}
-			if count >= limit {
-				done = true
-				return
-			}
-			env.Eng.At(at, func(ticks.T) { step() })
-		})
-		if !ok {
-			env.RetryAt(step)
-		}
-	}
-	step()
-	for !done && env.Eng.Now() < deadline-ticks.FromUS(1) {
+	r := newCountReceiver(env, watcher, det, bank, row, decoys, limit)
+	r.step()
+	for !r.done && env.Eng.Now() < deadline-ticks.FromUS(1) {
 		env.Run(env.Eng.Now() + ticks.FromUS(1))
 	}
-	done = true
-	if result >= 0 {
-		return result, true
+	r.done = true
+	if r.result >= 0 {
+		return r.result, true
 	}
-	return count, false
+	return r.count, false
+}
+
+// countReceiver is runCountReceiver's access chain. It keeps one read in
+// flight, so that read's issue time and target live in fields and its
+// completion, resume and confirm funcs are bound once: the chain
+// allocates nothing per access.
+type countReceiver struct {
+	env     *Env
+	watcher *Prober
+	det     *CoincidenceDetector
+	bank    int
+	row     int
+	decoys  []int
+	limit   int
+
+	count     int  // shared-row reads completed
+	di        int  // next decoy index
+	next      bool // next access targets the shared row
+	toTarget  bool // the read in flight targets the shared row
+	arrive    ticks.T
+	candCount int // count at the spike awaiting confirmation
+	result    int // confirmed count, or -1
+	done      bool
+
+	complete func(at ticks.T)
+	resume   func(ticks.T)
+	confirm  func(ticks.T)
+	retry    func()
+}
+
+func newCountReceiver(env *Env, watcher *Prober, det *CoincidenceDetector, bank, row int, decoys []int, limit int) *countReceiver {
+	r := &countReceiver{
+		env: env, watcher: watcher, det: det,
+		bank: bank, row: row, decoys: decoys, limit: limit,
+		next: true, result: -1,
+	}
+	r.complete = r.onComplete
+	r.resume = func(ticks.T) { r.step() }
+	r.confirm = r.onConfirm
+	r.retry = r.step
+	return r
+}
+
+func (r *countReceiver) step() {
+	if r.done {
+		return
+	}
+	r.toTarget = r.next
+	r.next = !r.next
+	row := r.row
+	if !r.toTarget {
+		row = r.decoys[r.di%len(r.decoys)]
+		r.di++
+	}
+	r.arrive = r.env.Eng.Now()
+	if !r.env.Read(r.bank, row, 0, r.complete) {
+		r.env.RetryAt(r.retry)
+	}
+}
+
+func (r *countReceiver) onComplete(at ticks.T) {
+	if r.toTarget {
+		r.count++
+	}
+	if at-r.arrive > r.det.ThrA {
+		// Candidate RFM: the watcher's coincident sample (both probes
+		// unblock together) lands within a burst or two, so a short
+		// hold suffices to verify.
+		r.candCount = r.count
+		r.env.Eng.At(at+ticks.FromNS(400), r.confirm)
+		return
+	}
+	if r.count >= r.limit {
+		r.done = true
+		return
+	}
+	r.env.Eng.At(at, r.resume)
+}
+
+func (r *countReceiver) onConfirm(ticks.T) {
+	if r.det.HasCoincident(r.watcher.Samples, r.arrive) {
+		r.result = r.candCount
+		r.done = true
+		return
+	}
+	r.step() // refresh-induced: resume
 }
 
 // recoverSharedRow drives the shared row to NBO so the resulting ABO

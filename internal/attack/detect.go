@@ -7,6 +7,12 @@ import (
 	"pracsim/internal/ticks"
 )
 
+// spikeMargin is how far above the median calibration latency every spike
+// threshold sits. Latency is never negative, so it is also a lower bound
+// on every threshold: a prober that keeps only samples above spikeMargin
+// keeps every sample any detector here can count as a spike.
+const spikeMargin ticks.T = 250 * ticks.PerNS
+
 // SpikeDetector classifies latency samples as mitigation-induced spikes.
 //
 // Two latency disturbances exist in a PRAC system: RFM blocking (tRFMab,
@@ -39,7 +45,7 @@ func CalibrateDetector(idle []Sample, trefi ticks.T) (*SpikeDetector, error) {
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	baseline := lats[len(lats)/2]
 	d := &SpikeDetector{
-		Threshold: baseline + ticks.FromNS(250),
+		Threshold: baseline + spikeMargin,
 		trefi:     trefi,
 		guard:     ticks.FromNS(600),
 	}
@@ -87,44 +93,19 @@ type CoincidenceDetector struct {
 	Window     ticks.T // max issue-time distance of a coincident pair
 }
 
-// NewCoincidenceDetector calibrates thresholds from idle samples of both
-// probers (median + 250 ns, like the single-prober detector).
-func NewCoincidenceDetector(idleA, idleB []Sample) (*CoincidenceDetector, error) {
-	thrA, err := spikeThreshold(idleA)
-	if err != nil {
-		return nil, err
+// NewCoincidenceDetector calibrates thresholds from two probers that ran
+// while no sender was active: each prober's median latency + 250 ns, like
+// the single-prober detector. The thresholds are never below 250 ns, so
+// probers that KeepSpikesOnly drop no sample the detector reads.
+func NewCoincidenceDetector(idleA, idleB *Prober) (*CoincidenceDetector, error) {
+	if idleA.n == 0 || idleB.n == 0 {
+		return nil, fmt.Errorf("attack: detector needs calibration samples")
 	}
-	thrB, err := spikeThreshold(idleB)
-	if err != nil {
-		return nil, err
-	}
-	return &CoincidenceDetector{ThrA: thrA, ThrB: thrB, Window: ticks.FromNS(600)}, nil
-}
-
-func spikeThreshold(idle []Sample) (ticks.T, error) {
-	if len(idle) == 0 {
-		return 0, fmt.Errorf("attack: detector needs calibration samples")
-	}
-	lats := make([]ticks.T, len(idle))
-	for i, s := range idle {
-		lats[i] = s.Latency
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	return lats[len(lats)/2] + ticks.FromNS(250), nil
-}
-
-// FirstCoincident finds the earliest spike in a that has a coincident spike
-// in b, scanning only samples at or after from.
-func (d *CoincidenceDetector) FirstCoincident(a, b []Sample, from ticks.T) (Sample, bool) {
-	for _, sa := range a {
-		if sa.At < from || sa.Latency <= d.ThrA {
-			continue
-		}
-		if d.HasCoincident(b, sa.At) {
-			return sa, true
-		}
-	}
-	return Sample{}, false
+	return &CoincidenceDetector{
+		ThrA:   idleA.Median() + spikeMargin,
+		ThrB:   idleB.Median() + spikeMargin,
+		Window: ticks.FromNS(600),
+	}, nil
 }
 
 // HasCoincident reports whether b contains a spike within Window of at.

@@ -8,6 +8,7 @@ package attack
 
 import (
 	"fmt"
+	"slices"
 
 	"pracsim/internal/dram"
 	"pracsim/internal/memctrl"
@@ -110,23 +111,28 @@ type Sample struct {
 // At, and the in-flight request's issue time and row live in fields: the
 // completion and reissue funcs are bound once in NewProber, and probing
 // allocates nothing per request.
+//
+// Every sample is counted and added to an exact latency histogram, so
+// Median needs no stored samples. By default every sample is also stored;
+// after KeepSpikesOnly only samples that can be spikes are.
 type Prober struct {
-	env   *Env
-	bank  int
-	rows  []int
-	idx   int
-	gap   ticks.T
-	stop  bool
-	onOdd func(s Sample) // optional per-sample hook
+	env  *Env
+	bank int
+	rows []int
+	idx  int
+	gap  ticks.T
+	stop bool
 
 	arrive   ticks.T // issue time of the request in flight
 	row      int     // row of the request in flight
 	complete func(at ticks.T)
 	reissue  func(ticks.T)
 
+	spikesOnly bool // store only samples with Latency > spikeMargin
+	hist       latencyHist
+	n          int // every sample taken, stored or not
+
 	Samples []Sample
-	// PerRowIssued counts probe reads issued per probed row index.
-	PerRowIssued map[int]int
 }
 
 // NewProber builds a prober over the given rows of a bank. gap adds pacing
@@ -136,19 +142,31 @@ func NewProber(env *Env, bank int, rows []int, gap ticks.T) (*Prober, error) {
 		return nil, fmt.Errorf("attack: prober needs at least one row")
 	}
 	p := &Prober{
-		env:          env,
-		bank:         bank,
-		rows:         rows,
-		gap:          gap,
-		PerRowIssued: make(map[int]int),
+		env:  env,
+		bank: bank,
+		rows: rows,
+		gap:  gap,
 	}
 	p.complete = p.onComplete
 	p.reissue = func(ticks.T) { p.issueNext() }
 	return p, nil
 }
 
-// OnSample registers a hook invoked for every recorded sample.
-func (p *Prober) OnSample(fn func(s Sample)) { p.onOdd = fn }
+// KeepSpikesOnly makes the prober store only samples with Latency >
+// spikeMargin from now on, and drops the stored samples at or below it.
+// Every detector threshold is a median latency + spikeMargin, so Samples
+// stays an ordered subsequence of every sample taken that holds each one a
+// detector can count as a spike: detectors read exactly what they would
+// read from the full log. Median still counts every sample.
+func (p *Prober) KeepSpikesOnly() {
+	p.spikesOnly = true
+	p.Samples = slices.DeleteFunc(p.Samples, func(s Sample) bool { return s.Latency <= spikeMargin })
+}
+
+// Median returns the median latency of every sample taken: exactly what
+// sorting all N latencies and taking index N/2 gives. It returns 0 before
+// the first sample.
+func (p *Prober) Median() ticks.T { return p.hist.nth(p.n / 2) }
 
 // Start begins probing; it keeps exactly one request in flight. It must
 // not be called while a request from an earlier Start is still in flight.
@@ -175,13 +193,43 @@ func (p *Prober) issueNext() {
 // onComplete records the in-flight request's sample and schedules the
 // next probe one gap after its data returns.
 func (p *Prober) onComplete(at ticks.T) {
-	s := Sample{At: p.arrive, Latency: at - p.arrive, Row: p.row}
-	p.Samples = append(p.Samples, s)
-	p.PerRowIssued[p.row]++
-	if p.onOdd != nil {
-		p.onOdd(s)
+	lat := at - p.arrive
+	p.n++
+	p.hist.add(lat)
+	if !p.spikesOnly || lat > spikeMargin {
+		p.Samples = append(p.Samples, Sample{At: p.arrive, Latency: lat, Row: p.row})
 	}
 	p.env.Eng.At(at+p.gap, p.reissue)
+}
+
+// latencyHist is an exact histogram: the distinct latencies seen, in
+// ascending order, with their counts. A probe stream takes few distinct
+// latencies, so once the common ones are in, an add is a binary search and
+// an increment and allocates nothing.
+type latencyHist struct {
+	vals   []ticks.T
+	counts []int
+}
+
+func (h *latencyHist) add(v ticks.T) {
+	i, found := slices.BinarySearch(h.vals, v)
+	if !found {
+		h.vals = slices.Insert(h.vals, i, v)
+		h.counts = slices.Insert(h.counts, i, 0)
+	}
+	h.counts[i]++
+}
+
+// nth returns the n-th smallest value added (0-based), or 0 if fewer
+// than n+1 values were added.
+func (h *latencyHist) nth(n int) ticks.T {
+	for i, c := range h.counts {
+		if n < c {
+			return h.vals[i]
+		}
+		n -= c
+	}
+	return 0
 }
 
 // Hammerer generates activations on a target row by alternating reads with

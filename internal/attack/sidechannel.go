@@ -69,37 +69,32 @@ func tableRow(table, line int) int { return table*aes.CacheLinesPerTable + line 
 // attributes the hot row by majority, the standard way chosen-plaintext
 // attackers absorb residual measurement jitter (each instance costs well
 // under a millisecond of victim time). The returned result is the first
-// instance that voted with the majority, with Hit and the recovered nibble
-// recomputed from the majority row.
+// instance that voted with the majority; a tie goes to the row voted
+// first.
 func RunAESAttackVoted(cfg AESConfig, votes int) (AESResult, error) {
 	if votes <= 1 {
 		return RunAESAttack(cfg)
 	}
+	runs := make([]AESResult, votes)
 	counts := map[int]int{}
-	results := make(map[int]AESResult)
-	for i := 0; i < votes; i++ {
+	for i := range runs {
 		c := cfg
 		c.Seed = cfg.Seed + int64(i)*1009
 		r, err := RunAESAttack(c)
 		if err != nil {
 			return r, err
 		}
+		runs[i] = r
 		counts[r.RecoveredRow]++
-		if _, ok := results[r.RecoveredRow]; !ok {
-			results[r.RecoveredRow] = r
+	}
+	// Scanning in vote order, not over the map, sends a tie to the row
+	// voted first and keeps the outcome deterministic.
+	res := runs[0]
+	for _, r := range runs[1:] {
+		if counts[r.RecoveredRow] > counts[res.RecoveredRow] {
+			res = r
 		}
 	}
-	bestRow, bestN := 0, 0
-	for row, n := range counts {
-		if n > bestN {
-			bestRow, bestN = row, n
-		}
-	}
-	res := results[bestRow]
-	res.RecoveredRow = bestRow
-	table := cfg.TargetByte % 4
-	res.RecoveredNib = (bestRow - table*aes.CacheLinesPerTable) ^ int(cfg.Plaintext>>4)
-	res.Hit = bestRow == res.TrueRow
 	return res, nil
 }
 
@@ -166,19 +161,23 @@ func RunAESAttack(cfg AESConfig) (AESResult, error) {
 	// Spike-threshold calibration before any victim activity. The probe
 	// bank (rank 0) and watcher bank (rank 1) sit in different ranks so
 	// the coincidence detector can separate RFMs from per-rank refresh.
+	// The watcher runs through the whole attack but is only read for
+	// spikes, so neither prober stores the rest.
 	watcher, err := NewProber(env, 37, []int{1}, 0)
 	if err != nil {
 		return AESResult{}, err
 	}
+	watcher.KeepSpikesOnly()
 	watcher.Start()
 	calib, err := NewProber(env, 9, []int{1}, 0)
 	if err != nil {
 		return AESResult{}, err
 	}
+	calib.KeepSpikesOnly()
 	calib.Start()
 	env.Run(ticks.FromUS(40))
 	calib.Stop()
-	detector, err := NewCoincidenceDetector(calib.Samples, watcher.Samples)
+	detector, err := NewCoincidenceDetector(calib, watcher)
 	if err != nil {
 		return AESResult{}, err
 	}
@@ -223,14 +222,17 @@ func RunAESAttack(cfg AESConfig) (AESResult, error) {
 }
 
 // runVictim performs the encryptions, issuing the 16 first-round accesses
-// of each encryption as chained DRAM reads.
+// of each encryption as chained DRAM reads. One access buffer serves every
+// encryption: the chain is done with it before the next one starts.
 func runVictim(env *Env, cipher *aes.Cipher, cfg AESConfig, rng *rand.Rand) error {
 	pt := make([]byte, aes.BlockSize)
+	accs := make([]aes.FirstRoundAccess, 0, aes.BlockSize)
 	chain := newVictimChain(env)
 	for enc := 0; enc < cfg.Encryptions; enc++ {
 		rng.Read(pt)
 		pt[cfg.TargetByte] = cfg.Plaintext
-		accs, err := cipher.FirstRoundAccesses(pt)
+		var err error
+		accs, err = cipher.FirstRoundAccesses(accs[:0], pt)
 		if err != nil {
 			return err
 		}
@@ -302,49 +304,16 @@ const probeShift = 3
 // crossed the Back-Off threshold, the number of probes that row had
 // received, the probing order and all samples.
 func probeRoundRobin(env *Env, watcher *Prober, det *CoincidenceDetector, table, nbo int) (row, count int, order []int, samples []Sample, err error) {
-	perRow := make([]int, aes.CacheLinesPerTable)
-	rowAt := make([]int, 0, 1024) // probed line per sample index
-	cntAt := make([]int, 0, 1024) // perRow count of that line at that sample
-	finished := false
-	idx := 0
-	var step func()
-	step = func() {
-		if finished {
-			return
-		}
-		line := idx % aes.CacheLinesPerTable
-		idx++
-		arrive := env.Eng.Now()
-		ok := env.Read(victimBank, tableRow(table, line), 0, func(at ticks.T) {
-			perRow[line]++
-			order = append(order, tableRow(table, line))
-			samples = append(samples, Sample{At: arrive, Latency: at - arrive, Row: tableRow(table, line)})
-			rowAt = append(rowAt, line)
-			cntAt = append(cntAt, perRow[line])
-			// Stop probing shortly after a raw spike so the offline
-			// coincidence check has watcher samples past it.
-			if at-arrive > det.ThrA && len(samples) > 8 {
-				env.Eng.After(ticks.FromUS(3), func(ticks.T) { finished = true })
-			}
-			// Chain at column-command issue (now), not at data return:
-			// the ~57ns activation cadence keeps three probes inside
-			// the 180ns tABOACT window, so the ACT allowance — not the
-			// deadline — bounds the Alert-to-RFM distance and the
-			// probe-index shift stays deterministic.
-			step()
-		})
-		if !ok {
-			env.RetryAt(step)
-		}
-	}
-	step()
+	rr := newRoundRobin(env, det, table)
+	rr.step()
 	// Upper bound: every row may need up to NBO activations.
 	deadline := env.Eng.Now() + ticks.T(16*(nbo+16))*ticks.FromNS(120) + ticks.FromUS(200)
 	spikeIdx := -1
 	for env.Eng.Now() < deadline {
 		env.Run(env.Eng.Now() + ticks.FromUS(2))
-		for i := range samples {
-			if samples[i].Latency > det.ThrA && det.HasCoincident(watcher.Samples, samples[i].At) {
+		// Only raw spikes can be confirmed: re-check those, in order.
+		for _, i := range rr.spikes {
+			if det.HasCoincident(watcher.Samples, rr.samples[i].At) {
 				spikeIdx = i
 				break
 			}
@@ -352,18 +321,111 @@ func probeRoundRobin(env *Env, watcher *Prober, det *CoincidenceDetector, table,
 		if spikeIdx >= 0 {
 			break
 		}
-		if finished { // raw spike seen but not confirmed: resume probing
-			finished = false
-			step()
+		if rr.finished { // raw spike seen but not confirmed: resume probing
+			rr.finished = false
+			rr.step()
 		}
 	}
-	finished = true
+	rr.finished = true
 	if spikeIdx < 0 {
-		return 0, 0, order, samples, fmt.Errorf("attack: no RFM observed while probing")
+		return 0, 0, rr.order, rr.samples, fmt.Errorf("attack: no RFM observed while probing")
 	}
 	trigIdx := spikeIdx - probeShift
 	if trigIdx < 0 {
 		trigIdx = 0
 	}
-	return tableRow(table, rowAt[trigIdx]), cntAt[trigIdx], order, samples, nil
+	return tableRow(table, rr.rowAt[trigIdx]), rr.cntAt[trigIdx], rr.order, rr.samples, nil
+}
+
+// roundRobin is probeRoundRobin's probe chain. Each probe's issue time and
+// line live in an rrProbe whose completion func is bound once; completed
+// rrProbes are reused, so once warm the chain allocates nothing per probe
+// beyond the growth of its logs. A resume after an unconfirmed spike can
+// start a second chain while a probe is still in flight, so probes do not
+// share one set of fields.
+type roundRobin struct {
+	env   *Env
+	det   *CoincidenceDetector
+	table int
+
+	idx      int // probes issued
+	finished bool
+	perRow   [aes.CacheLinesPerTable]int
+
+	order   []int    // row of each sample
+	samples []Sample // every probe, in completion order
+	rowAt   []int    // probed line per sample index
+	cntAt   []int    // perRow count of that line at that sample
+	spikes  []int    // indices of samples above det.ThrA
+
+	free   []*rrProbe // completed probes, ready for reuse
+	retry  func()
+	finish func(ticks.T)
+}
+
+// rrProbe is one round-robin probe read.
+type rrProbe struct {
+	rr       *roundRobin
+	line     int
+	arrive   ticks.T
+	complete func(at ticks.T)
+}
+
+func newRoundRobin(env *Env, det *CoincidenceDetector, table int) *roundRobin {
+	rr := &roundRobin{
+		env:   env,
+		det:   det,
+		table: table,
+		rowAt: make([]int, 0, 1024),
+		cntAt: make([]int, 0, 1024),
+	}
+	rr.retry = rr.step
+	rr.finish = func(ticks.T) { rr.finished = true }
+	return rr
+}
+
+func (rr *roundRobin) step() {
+	if rr.finished {
+		return
+	}
+	var p *rrProbe
+	if n := len(rr.free); n > 0 {
+		p, rr.free = rr.free[n-1], rr.free[:n-1]
+	} else {
+		p = &rrProbe{rr: rr}
+		p.complete = p.onComplete
+	}
+	p.line = rr.idx % aes.CacheLinesPerTable
+	rr.idx++
+	p.arrive = rr.env.Eng.Now()
+	if !rr.env.Read(victimBank, tableRow(rr.table, p.line), 0, p.complete) {
+		rr.free = append(rr.free, p)
+		rr.env.RetryAt(rr.retry)
+	}
+}
+
+func (p *rrProbe) onComplete(at ticks.T) {
+	rr := p.rr
+	line, lat := p.line, at-p.arrive
+	rr.free = append(rr.free, p)
+	rr.perRow[line]++
+	row := tableRow(rr.table, line)
+	rr.order = append(rr.order, row)
+	rr.samples = append(rr.samples, Sample{At: p.arrive, Latency: lat, Row: row})
+	rr.rowAt = append(rr.rowAt, line)
+	rr.cntAt = append(rr.cntAt, rr.perRow[line])
+	if lat > rr.det.ThrA {
+		rr.spikes = append(rr.spikes, len(rr.samples)-1)
+		// Stop probing shortly after a raw spike so the offline
+		// coincidence check has watcher samples past it.
+		if len(rr.samples) > 8 {
+			rr.env.Eng.After(ticks.FromUS(3), rr.finish)
+		}
+	}
+	// Chain at column-command issue (now), not at data return: the ~57ns
+	// activation cadence keeps three probes inside the 180ns tABOACT
+	// window, so the ACT allowance — not the deadline — bounds the
+	// Alert-to-RFM distance and the probe-index shift stays
+	// deterministic.
+	rr.step()
 }

@@ -1,11 +1,24 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
 	"pracsim/internal/ticks"
 )
+
+// checkCSVSum pins the exact CSV bytes of a PRACLeak runner. The attack
+// receivers' sample bookkeeping is a pure optimization: any change to what
+// they store or how they calibrate must leave every byte unchanged.
+func checkCSVSum(t *testing.T, csv, want string) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(csv))
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("CSV sha256 = %s, want %s", got, want)
+	}
+}
 
 // tinyScale keeps unit tests fast while exercising the full pipeline.
 func tinyScale() Scale {
@@ -34,6 +47,7 @@ func TestRunFig3(t *testing.T) {
 	if !strings.Contains(res.Render(), "Figure 3") || res.CSV() == "" {
 		t.Error("rendering broken")
 	}
+	checkCSVSum(t, res.CSV(), "cf0c05e95fed0cc58646a73431d2818c5183ecf80d8fb34961e7ee96c41a7272")
 }
 
 func TestRunTable2(t *testing.T) {
@@ -58,6 +72,7 @@ func TestRunTable2(t *testing.T) {
 			t.Errorf("%s NBO=%d error rate %.2f too high", row.Type, row.NBO, row.ErrorRate)
 		}
 	}
+	checkCSVSum(t, res.CSV(), "decf8d917f507ed0805bc60c5d94c05c154d0ef9f061ec63701bd8b384e8380e")
 }
 
 func TestRunFig4(t *testing.T) {
@@ -74,6 +89,7 @@ func TestRunFig4(t *testing.T) {
 	if !strings.Contains(res.Render(), "Figure 4") || res.CSV() == "" {
 		t.Error("rendering broken")
 	}
+	checkCSVSum(t, res.CSV(), "c06bfcf0f41481ac536e6f40195162c86b50bfdc4784f4ef3ca9948ce734a8cf")
 }
 
 func TestRunFig5(t *testing.T) {
@@ -90,6 +106,9 @@ func TestRunFig5(t *testing.T) {
 	if !strings.Contains(res.Render(), "heatmap") {
 		t.Error("rendering broken")
 	}
+	// Vote ties go to the row voted first; before that they followed map
+	// iteration order and this CSV varied from run to run.
+	checkCSVSum(t, res.CSV(), "da6e72f7e3454e1d0bed299c1912ec755e21b4f24f5022361144b13f1f188f95")
 }
 
 func TestRunFig9(t *testing.T) {
@@ -107,6 +126,7 @@ func TestRunFig9(t *testing.T) {
 	if !strings.Contains(res.Render(), "Figure 9") {
 		t.Error("rendering broken")
 	}
+	checkCSVSum(t, res.CSV(), "705d6d2f13505b6d1ecd41b56a6dc5c5610ab8d6536196c1347ce23c1a0eb863")
 }
 
 func TestRunFig7(t *testing.T) {
