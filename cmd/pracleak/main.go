@@ -65,13 +65,13 @@ func main() {
 	which := flag.String("exp", "all", "experiment: fig3, table2, fig4, fig5, fig9 or all")
 	quick := flag.Bool("quick", false, "reduced sweep sizes for fast runs")
 	workers := flag.Int("workers", 0, "concurrent sweep simulations (0 = all cores, 1 = serial)")
-	storeMode := flag.String("store", "auto", "persistent result store: a directory, a pracstored URL (http://host:port), 'auto' (user cache dir) or 'off'")
+	storeMode := flag.String("store", "auto", "persistent result store: a directory, a pracsimd URL (http://host:port), 'auto' (user cache dir) or 'off'")
 	storeTimeout := flag.Duration("store-timeout", 10*time.Second, "per-attempt deadline for remote store requests")
 	journalMode := flag.String("journal", "off", "crash-recovery journal directory ('off' = none); an interrupted run re-invoked with the same arguments skips completed experiments")
 	csvDir := flag.String("csvdir", "", "directory to write CSV files into (optional)")
 	flag.Parse()
 
-	st, warn, err := store.ResolveBackendWith(*storeMode, store.HTTPOptions{Timeout: *storeTimeout})
+	st, warn, err := store.Resolve(*storeMode, store.Options{HTTP: store.HTTPOptions{Timeout: *storeTimeout}})
 	if warn != "" {
 		fmt.Fprintln(os.Stderr, "pracleak: "+warn)
 	}

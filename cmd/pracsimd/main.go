@@ -6,21 +6,32 @@
 // content-addressed store deduplicates everything, so a grid anyone has
 // run before completes without executing a single simulation.
 //
+// The daemon also serves that store: `-store http://host:8460` on
+// tpracsim, pracleak or secanalysis reads through a local cache into
+// it, so fleets, CI jobs and campaigns on any machine share one warm
+// store. A client that cannot reach the daemon recomputes locally.
+//
 // Usage:
 //
-//	pracsimd [-addr :8460] [-dir DIR] [-tokens A,B,...] [-quota N]
-//	         [-lease-ttl 30s] [-attempts 3] [-workers N] [-v]
+//	pracsimd [-addr :8460] [-dir DIR] [-budget SIZE] [-tokens A,B,...]
+//	         [-quota N] [-lease-ttl 30s] [-attempts 3] [-workers N] [-v]
 //
-// -dir holds the daemon's state: store/ (the run store), queue.journal
-// (the persistent job queue), jobs/{id}/ (delivered shard files and
-// result CSVs). The journal makes the queue crash-safe: a SIGKILLed
-// daemon restarted over the same -dir adopts every acked work item and
-// re-executes nothing.
+// -dir holds the daemon's state: store/ (the run store, an ordinary
+// disk store), queue.journal (the persistent job queue), jobs/{id}/
+// (delivered shard files and result CSVs). The journal makes the queue
+// crash-safe: a SIGKILLed daemon restarted over the same -dir adopts
+// every acked work item and re-executes nothing.
+//
+// -budget bounds the store's disk footprint (e.g. 512MB) by evicting
+// least-recently-accessed entries; an eviction costs a recompute, never
+// a wrong figure.
 //
 // -tokens enables multi-tenant bearer auth (default $PRACSIMD_TOKENS):
 // each token is a tenant with its own job listing, a -quota cap on
 // concurrently active jobs, and a round-robin fair share of worker
-// capacity within each priority level. /healthz and /metrics stay open.
+// capacity within each priority level. The store routes take the same
+// tokens (clients send theirs in $PRACSTORE_TOKEN). /healthz and
+// /metrics stay open.
 //
 // SIGTERM drains: the listener stops, in-flight requests finish, the
 // queue stops granting and the journal syncs — the checkpoint a restart
@@ -28,6 +39,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -40,6 +52,7 @@ import (
 	"time"
 
 	"pracsim/internal/exp/service"
+	"pracsim/internal/exp/store"
 	"pracsim/internal/fault"
 )
 
@@ -49,6 +62,7 @@ const tokensEnv = "PRACSIMD_TOKENS"
 func main() {
 	addr := flag.String("addr", ":8460", "listen address")
 	dir := flag.String("dir", "", "data directory: store, queue journal, job results (default: pracsimd/ under the user cache dir)")
+	budget := flag.String("budget", "", "disk budget for the run store, e.g. 512MB or 2GB (default: unbounded)")
 	tokens := flag.String("tokens", os.Getenv(tokensEnv),
 		"comma-separated bearer tokens, one per tenant (default $"+tokensEnv+"; empty = open)")
 	quota := flag.Int("quota", 0, "max concurrently active jobs per token (0 = unlimited)")
@@ -78,9 +92,14 @@ func main() {
 		}
 		*dir = filepath.Join(cache, "pracsimd")
 	}
+	budgetBytes, err := store.ParseByteSize(*budget)
+	if err != nil {
+		logger.Fatal(err)
+	}
 
 	opts := service.Options{
 		Dir:      *dir,
+		Budget:   budgetBytes,
 		Tokens:   *tokens,
 		Quota:    *quota,
 		LeaseTTL: *leaseTTL,
@@ -106,7 +125,8 @@ func main() {
 	if *tokens != "" {
 		auth = "bearer-token"
 	}
-	logger.Printf("serving experiment jobs from %s on %s (%s, lease TTL %s)", *dir, *addr, auth, *leaseTTL)
+	logger.Printf("serving experiment jobs and the run store from %s on %s (%s, lease TTL %s, store budget %s)",
+		*dir, *addr, auth, *leaseTTL, cmp.Or(*budget, "unbounded"))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -30,13 +30,13 @@ import (
 func main() {
 	empirical := flag.Bool("empirical", false, "also run a live Feinting attack against the solved window")
 	nbo := flag.Int("nbo", 256, "Back-Off threshold for the empirical validation")
-	storeMode := flag.String("store", "auto", "persistent result store: a directory, a pracstored URL (http://host:port), 'auto' (user cache dir) or 'off'")
+	storeMode := flag.String("store", "auto", "persistent result store: a directory, a pracsimd URL (http://host:port), 'auto' (user cache dir) or 'off'")
 	storeTimeout := flag.Duration("store-timeout", 10*time.Second, "per-attempt deadline for remote store requests")
 	journalMode := flag.String("journal", "off", "crash-recovery journal directory ('off' = none)")
 	csvDir := flag.String("csvdir", "", "directory to write fig7.csv into (optional)")
 	flag.Parse()
 
-	st, warn, err := store.ResolveBackendWith(*storeMode, store.HTTPOptions{Timeout: *storeTimeout})
+	st, warn, err := store.Resolve(*storeMode, store.Options{HTTP: store.HTTPOptions{Timeout: *storeTimeout}})
 	if warn != "" {
 		fmt.Fprintln(os.Stderr, "secanalysis: "+warn)
 	}

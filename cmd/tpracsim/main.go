@@ -22,12 +22,12 @@
 // killed child's item re-leases when its lease expires. The driver
 // merges the acked shard files and renders the figures.
 //
-// The -store flag also takes a pracstored URL (`-store
-// http://host:8420`, see cmd/pracstored): the session then reads through
-// a local disk cache into the shared server, and a dispatch fleet
-// pointed at one warm server executes nothing anywhere. An unreachable
-// or corrupt server degrades to local recompute — never a crash or a
-// wrong figure.
+// The -store flag also takes a pracsimd URL (`-store
+// http://host:8460`, see cmd/pracsimd, which serves its store): the
+// session then reads through a local disk cache into the shared server,
+// and a dispatch fleet pointed at one warm server executes nothing
+// anywhere. An unreachable or corrupt server degrades to local
+// recompute — never a crash or a wrong figure.
 //
 // Usage:
 //
@@ -108,7 +108,7 @@ func main() {
 	serial := flag.Bool("serial", false, "force single-threaded execution (same results, for debugging)")
 	perCycle := flag.Bool("percycle", false, "tick every component every cycle instead of eliding idle cycles (same results, slower)")
 	differential := flag.Bool("differential", false, "run every simulation under both clockings and fail on any divergence")
-	storeMode := flag.String("store", "auto", "persistent run store: a directory, a pracstored URL (http://host:port), 'auto' (user cache dir) or 'off'")
+	storeMode := flag.String("store", "auto", "persistent run store: a directory, a pracsimd URL (http://host:port), 'auto' (user cache dir) or 'off'")
 	storeBudget := flag.String("store-budget", "", "disk budget for the local store tier, e.g. 512MB (default: unbounded); least-recently-accessed entries are evicted when a write pushes past it")
 	storeTimeout := flag.Duration("store-timeout", 10*time.Second, "per-attempt deadline for remote store requests")
 	storeRetries := flag.Int("store-retries", 3, "per-operation attempt budget for remote store requests (including the first)")
@@ -491,7 +491,7 @@ func runDispatch(ctx context.Context, session *exp.Runner, st *store.Store, jl *
 		return fmt.Errorf("resolving own binary for dispatch: %w", err)
 	}
 	// Children re-resolve the store spec themselves: a directory reopens
-	// the same disk store, a pracstored URL gives every child its own
+	// the same disk store, a pracsimd URL gives every child its own
 	// local tier over the one shared server.
 	storeSpec := "off"
 	if st != nil {
@@ -544,7 +544,8 @@ func importWithRetry(session *exp.Runner, files []string) (n int, err error) {
 
 // runStoreMaintenance serves -store-info / -store-prune: the
 // maintenance surface works identically against a directory and a
-// pracstored server, because both sit behind the same Backend interface.
+// pracsimd store server, because both sit behind the same Backend
+// interface.
 // Prune runs before info, so `-store-prune -store-info` shows the
 // after-state.
 func runStoreMaintenance(st *store.Store, prune, info bool) {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pracsim/internal/exp/store"
-	storeserver "pracsim/internal/exp/store/server"
 	"pracsim/internal/fault"
 )
 
@@ -23,7 +22,7 @@ func enableFaults(t *testing.T, spec string) {
 }
 
 // TestChaosFaultySharedStoreBitIdentical is the storm half of the chaos
-// contract: a session reading through a misbehaving pracstored — truncated
+// contract: a session reading through a misbehaving store server — truncated
 // and corrupted frames, injected 500s, client-side transport errors and
 // timeouts — must neither crash nor change a single output byte. Every
 // injected failure degrades to a recompute; the figures stay identical
@@ -39,7 +38,7 @@ func TestChaosFaultySharedStoreBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(storeserver.New(disk, storeserver.Options{}))
+	ts := httptest.NewServer(store.NewFrameHandler(disk))
 	defer ts.Close()
 
 	// Warm the server cleanly so the storm has real frames to mangle.

@@ -18,6 +18,12 @@
 // session assembles the figures/tables from the fully-warm store into
 // per-job CSVs.
 //
+// The daemon also serves its store over the wire: the run store's frame
+// API (store.FrameRoutes) is mounted next to the job API under the same
+// tenant tokens, so a tpracsim or pracleak anywhere can point -store at
+// the daemon and read through — or publish into — the very store that
+// deduplicates submissions.
+//
 // Every submission, lease grant and ack is journaled (the session
 // journal's job/lease/ack record types), so a SIGKILLed daemon resumes
 // its queue with zero re-executed runs: acked items are adopted, unacked
@@ -37,6 +43,11 @@
 //	POST   /v1/lease/{id}/heartbeat      keep a lease alive
 //	POST   /v1/lease/{id}/ack?executed=N deliver a shard result file
 //	POST   /v1/lease/{id}/fail           release a lease after a worker error
+//	GET    /v1/e/{hash}                  fetch a store frame (404 on miss)
+//	PUT    /v1/e/{hash}                  validate + publish a store frame
+//	DELETE /v1/e/{hash}                  remove a store entry
+//	GET    /v1/stat/{hash}               store entry metadata as JSON
+//	GET    /v1/list                      all store entries as JSON
 //	GET    /healthz                      liveness (no auth)
 //	GET    /metrics                      Prometheus-style metrics (no auth)
 package service
@@ -66,10 +77,13 @@ const queueFingerprint = "pracsimd/queue/1"
 
 // Options configures the daemon.
 type Options struct {
-	// Dir is the daemon's data directory: store/ (the run store and
-	// dedup oracle), queue.journal, and jobs/{id}/ (acked shard files
-	// and result CSVs). Required.
+	// Dir is the daemon's data directory: store/ (the run store, dedup
+	// oracle and the store routes' backing), queue.journal, and
+	// jobs/{id}/ (acked shard files and result CSVs). Required.
 	Dir string
+	// Budget caps the store's disk footprint in bytes; a write past it
+	// evicts least-recently-accessed entries (0 = unbounded).
+	Budget int64
 	// Tokens is the comma-separated bearer-token list ("" = open).
 	Tokens string
 	// Quota caps each token's concurrently active jobs (0 = unlimited).
@@ -95,6 +109,8 @@ type Options struct {
 type Server struct {
 	opts    Options
 	store   *store.Store
+	disk    *store.Disk
+	frames  *store.FrameHandler
 	journal *journal.Journal
 	queue   *Queue
 	tokens  *httpd.Tokens
@@ -117,7 +133,7 @@ func New(opts Options) (*Server, RestoreSummary, error) {
 	if err := os.MkdirAll(filepath.Join(opts.Dir, "jobs"), 0o755); err != nil {
 		return nil, RestoreSummary{}, fmt.Errorf("service: %w", err)
 	}
-	st, err := store.Open(filepath.Join(opts.Dir, "store"))
+	disk, err := store.OpenDiskWith(filepath.Join(opts.Dir, "store"), store.DiskOptions{BudgetBytes: opts.Budget})
 	if err != nil {
 		return nil, RestoreSummary{}, fmt.Errorf("service: %w", err)
 	}
@@ -142,7 +158,9 @@ func New(opts Options) (*Server, RestoreSummary, error) {
 	}
 	s := &Server{
 		opts:        opts,
-		store:       st,
+		store:       store.NewStore(disk),
+		disk:        disk,
+		frames:      store.NewFrameHandler(disk),
 		journal:     jl,
 		queue:       q,
 		tokens:      httpd.ParseTokens(opts.Tokens),
@@ -163,6 +181,9 @@ func New(opts Options) (*Server, RestoreSummary, error) {
 	s.mux.Handle("POST /v1/lease/{id}/heartbeat", s.route("heartbeat", s.handleHeartbeat))
 	s.mux.Handle("POST /v1/lease/{id}/ack", s.route("ack", s.handleAck))
 	s.mux.Handle("POST /v1/lease/{id}/fail", s.route("fail", s.handleFail))
+	for _, r := range store.FrameRoutes {
+		s.mux.Handle(r.Pattern, s.route("store_"+r.Name, s.frames.ServeHTTP))
+	}
 	return s, sum, nil
 }
 
@@ -254,5 +275,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("pracsimd_leased", "Work items currently leased.", float64(d.Leased))
 	gauge("pracsimd_active_jobs", "Jobs not yet in a terminal state.", float64(d.ActiveJobs))
 	gauge("pracsimd_uptime_seconds", "Seconds since the daemon started.", time.Since(s.start).Seconds())
+	f := s.frames.Stats()
+	counter("pracsimd_store_hits_total", "Store-route GETs served a frame.", f.Hits)
+	counter("pracsimd_store_misses_total", "Store-route GETs with no entry.", f.Misses)
+	counter("pracsimd_store_put_rejects_total", "Store-route PUTs rejected by frame validation.", f.PutRejects)
+	counter("pracsimd_store_bytes_in_total", "Payload bytes accepted by store-route PUTs.", f.BytesIn)
+	counter("pracsimd_store_bytes_out_total", "Frame bytes served by store-route GETs.", f.BytesOut)
+	if entries, bytes, err := s.disk.Footprint(); err == nil {
+		gauge("pracsimd_store_entries", "Entry files in the store.", float64(entries))
+		gauge("pracsimd_store_bytes", "Entry file bytes in the store.", float64(bytes))
+	}
+	// Lifecycle metrics appear whenever a budget is set (so a scraper
+	// sees the footprint move toward the limit), and whenever anything
+	// was evicted even without one (injected evictions).
+	if ev := s.disk.EvictionStats(); ev.Budget > 0 || ev.Evicted > 0 {
+		counter("pracsimd_store_evicted_total", "Entries evicted by the store budget or injected evictions.", ev.Evicted)
+		counter("pracsimd_store_evicted_bytes_total", "Entry file bytes reclaimed by eviction.", ev.EvictedBytes)
+		counter("pracsimd_store_eviction_sweeps_total", "Eviction sweeps that ran.", ev.Sweeps)
+		gauge("pracsimd_store_budget_bytes", "Configured store budget (0 = unbounded).", float64(ev.Budget))
+	}
 	s.reqs.Write(w, "pracsimd")
 }

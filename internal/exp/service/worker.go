@@ -121,8 +121,14 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerSummary, error) {
 		sum.Runs += runs
 		sum.Executed += executed
 		if opts.Log != nil {
-			opts.Log.Printf("worker: job %s item %s delivered (%d runs, %d executed)",
-				grant.Job, grant.Item, runs, executed)
+			// Per item, not at exit: a dispatch driver stops its
+			// children without waiting for an exit summary.
+			traffic := ""
+			if opts.Store != nil {
+				traffic = "; " + opts.Store.Stats().Report(opts.Store.Spec())
+			}
+			opts.Log.Printf("worker: job %s item %s delivered (%d runs, %d executed)%s",
+				grant.Job, grant.Item, runs, executed, traffic)
 		}
 	}
 	return sum, nil

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"pracsim/internal/exp/store"
-	"pracsim/internal/exp/store/server"
 )
 
 // BenchmarkStoreWarmSweep measures the persistent store's warm path —
@@ -45,7 +44,7 @@ func BenchmarkStoreWarmSweep(b *testing.B) {
 }
 
 // BenchmarkStoreRemoteWarmSweep measures the fleet-shared warm path —
-// the whole Fig12 mini-grid served from a pracstored server over HTTP
+// the whole Fig12 mini-grid served from a frame server over HTTP
 // with zero simulations, through a fresh pure-HTTP client each
 // iteration (no local tier, so every Get crosses the wire: what a new
 // fleet worker pays against a warm server). The store_remote_* metrics
@@ -56,7 +55,7 @@ func BenchmarkStoreRemoteWarmSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts := httptest.NewServer(server.New(disk, server.Options{}))
+	ts := httptest.NewServer(store.NewFrameHandler(disk))
 	defer ts.Close()
 	newStore := func() *store.Store {
 		h, err := store.OpenHTTP(ts.URL)
@@ -103,7 +102,7 @@ func BenchmarkStoreRemoteColdSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ts := httptest.NewServer(server.New(disk, server.Options{}))
+		ts := httptest.NewServer(store.NewFrameHandler(disk))
 		h, err := store.OpenHTTP(ts.URL)
 		if err != nil {
 			b.Fatal(err)

@@ -12,7 +12,6 @@ import (
 
 	"pracsim/internal/exp/shard"
 	"pracsim/internal/exp/store"
-	"pracsim/internal/exp/store/server"
 	"pracsim/internal/sim"
 )
 
@@ -81,14 +80,14 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entries, err := os.ReadDir(st.Dir())
+	entries, err := os.ReadDir(st.Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) == 0 {
 		t.Fatal("no entries written")
 	}
-	victim := filepath.Join(st.Dir(), entries[0].Name())
+	victim := filepath.Join(st.Spec(), entries[0].Name())
 	if err := os.WriteFile(victim, []byte("truncated garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +350,7 @@ func TestMemoRoundTrip(t *testing.T) {
 	}
 }
 
-// newRemoteStore spins a pracstored server over a fresh directory and
+// newRemoteStore spins a frame server over a fresh directory and
 // returns a factory for pure-HTTP store fronts against it (no local
 // tier, so every access crosses the wire) plus the server handle.
 func newRemoteStore(t *testing.T) (func() *store.Store, *httptest.Server) {
@@ -360,7 +359,7 @@ func newRemoteStore(t *testing.T) (func() *store.Store, *httptest.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(server.New(disk, server.Options{}))
+	ts := httptest.NewServer(store.NewFrameHandler(disk))
 	t.Cleanup(ts.Close)
 	return func() *store.Store {
 		h, err := store.OpenHTTP(ts.URL)
@@ -372,7 +371,7 @@ func newRemoteStore(t *testing.T) (func() *store.Store, *httptest.Server) {
 }
 
 // TestRemoteStoreWarmSessionExecutesNothing is the fleet contract at the
-// session level: a cold session warms a pracstored server, and a second
+// session level: a cold session warms a store server, and a second
 // session on a "different machine" (fresh client, no local state)
 // executes zero simulations with bit-identical figures.
 func TestRemoteStoreWarmSessionExecutesNothing(t *testing.T) {

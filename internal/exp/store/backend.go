@@ -20,8 +20,8 @@ type Info struct {
 }
 
 // Backend is one storage implementation under the Store front: a local
-// directory (Disk), a pracstored server (HTTP), or a local read-through
-// cache over a remote (Tiered). All operations address entries by their
+// directory (Disk), a pracsimd store server (HTTP), or a local
+// read-through cache over a remote (Tiered). All operations address entries by their
 // full versioned run key; content addressing (SHA-256 of the key) is an
 // implementation detail of the backends.
 //

@@ -21,8 +21,8 @@ import (
 const magic = "pracstore1\n"
 
 // EncodeFrame frames a (key, payload) pair into the self-validating
-// entry format shared by the disk files and the pracstored wire
-// protocol:
+// entry format shared by the disk files and the wire protocol of the
+// pracsimd store routes:
 //
 //	magic | keyLen uvarint | key | payloadLen uvarint | payload | sha256(payload)
 func EncodeFrame(key string, payload []byte) []byte {
@@ -104,8 +104,7 @@ func DecodeFrameAny(data []byte) (key string, payload []byte, err error) {
 // entries. The on-disk format predates the Backend split and is
 // unchanged: stores written by earlier releases read back as-is.
 type Disk struct {
-	dir    string
-	tmpAge time.Duration
+	dir string
 
 	// lc is the budget/eviction layer, nil unless DiskOptions.BudgetBytes
 	// was set — a budget-less Disk pays one nil check per operation.
@@ -133,11 +132,6 @@ type DiskOptions struct {
 	// entries until the footprint is ~90% of the budget. 0 disables
 	// eviction (the default — the store grows unbounded, as before).
 	BudgetBytes int64
-	// TmpSweepAge overrides how stale a put-*.tmp file must be before
-	// the Open-time sweep treats it as an orphan (default
-	// DefaultTmpSweepAge). Chaos tests shrink it instead of faking
-	// mtimes.
-	TmpSweepAge time.Duration
 }
 
 // OpenDisk creates (if needed) and returns the disk backend rooted at dir.
@@ -157,10 +151,7 @@ func OpenDiskWith(dir string, opts DiskOptions) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	d := &Disk{dir: dir, tmpAge: opts.TmpSweepAge}
-	if d.tmpAge <= 0 {
-		d.tmpAge = DefaultTmpSweepAge
-	}
+	d := &Disk{dir: dir}
 	if opts.BudgetBytes > 0 {
 		d.lc = &lifecycle{budget: opts.BudgetBytes}
 		d.lc.rebuild(dir)
@@ -172,15 +163,15 @@ func OpenDiskWith(dir string, opts DiskOptions) (*Disk, error) {
 
 // sweepTmp removes stale put-*.tmp files — the debris a process killed
 // mid-writeAtomic leaves behind, which the deferred cleanup never ran
-// for. Age-gated (tmpSweepAge) and best-effort: a sweep failure costs
-// disk space, never correctness.
+// for. Age-gated (DefaultTmpSweepAge) and best-effort: a sweep failure
+// costs disk space, never correctness.
 func (d *Disk) sweepTmp() {
 	//praclint:allow failpoint best-effort debris sweep; a failure costs disk space, never correctness
 	tmps, err := filepath.Glob(filepath.Join(d.dir, "put-*.tmp"))
 	if err != nil {
 		return
 	}
-	cutoff := time.Now().Add(-d.tmpAge)
+	cutoff := time.Now().Add(-DefaultTmpSweepAge)
 	for _, path := range tmps {
 		//praclint:allow failpoint best-effort debris sweep; a failure costs disk space, never correctness
 		fi, err := os.Stat(path)
@@ -409,19 +400,7 @@ func (d *Disk) ListEach(fn func(Info) error) error {
 }
 
 // Delete removes the entry under key.
-func (d *Disk) Delete(key string) error {
-	hash := Hash(key)
-	//praclint:allow failpoint eviction deletes are exercised through the store.disk.evict failpoint on the sweep path; a direct Delete error surfaces to the caller unchanged
-	err := os.Remove(d.hashPath(hash))
-	if os.IsNotExist(err) {
-		return ErrNotFound
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	d.lcForget(hash)
-	return nil
-}
+func (d *Disk) Delete(key string) error { return d.DeleteFrame(Hash(key)) }
 
 // Footprint reports the directory's raw entry count and file bytes
 // without validating entries — cheap enough for a metrics scrape.
@@ -446,7 +425,8 @@ func (d *Disk) Footprint() (entries int, bytes int64, err error) {
 }
 
 // GetFrame returns the raw framed entry stored under a content hash —
-// the pracstored read path, which serves frames without knowing keys.
+// the read path of the pracsimd store routes, which serve frames
+// without knowing keys.
 func (d *Disk) GetFrame(hash string) ([]byte, time.Time, error) {
 	if a := fault.Fire(fault.StoreDiskEvict); a != nil && a.Kind == fault.Evict {
 		d.injectEvict(hash)
@@ -469,16 +449,16 @@ func (d *Disk) GetFrame(hash string) ([]byte, time.Time, error) {
 	return data, mtime, nil
 }
 
-// ErrBadFrame wraps PutFrame's validation failures, so callers (the
-// pracstored PUT handler) can blame the uploader (HTTP 400) for a bad
-// frame and the storage (HTTP 500) for everything else.
+// ErrBadFrame wraps PutFrame's validation failures, so callers (the PUT
+// handler of the pracsimd store routes) can blame the uploader (HTTP
+// 400) for a bad frame and the storage (HTTP 500) for everything else.
 var ErrBadFrame = errors.New("store: invalid frame")
 
 // PutFrame validates a raw framed entry and atomically publishes it
-// under hash — the pracstored write path. The frame must decode cleanly
-// (magic, lengths, payload checksum) and its embedded key must actually
-// hash to the claimed address; anything else reports ErrBadFrame before
-// a byte lands in the store.
+// under hash — the write path of the pracsimd store routes. The frame
+// must decode cleanly (magic, lengths, payload checksum) and its
+// embedded key must actually hash to the claimed address; anything else
+// reports ErrBadFrame before a byte lands in the store.
 func (d *Disk) PutFrame(hash string, frame []byte) (key string, payloadLen int, err error) {
 	key, payload, err := DecodeFrameAny(frame)
 	if err != nil {
@@ -498,7 +478,7 @@ func (d *Disk) PutFrame(hash string, frame []byte) (key string, payloadLen int, 
 
 // DeleteFrame removes the entry under a content hash.
 func (d *Disk) DeleteFrame(hash string) error {
-	//praclint:allow failpoint same contract as Delete; the injected-eviction path fires store.disk.evict before reaching here
+	//praclint:allow failpoint eviction deletes are exercised through the store.disk.evict failpoint on the sweep path; a direct delete error surfaces to the caller unchanged
 	err := os.Remove(d.hashPath(hash))
 	if os.IsNotExist(err) {
 		return ErrNotFound

@@ -41,10 +41,9 @@ const GzipMinBytes = 1 << 10
 // never be re-used.
 const breakerTrip = 5
 
-// TokenEnv names the environment variable the HTTP client (and
-// cmd/pracstored, as its default -token) reads the bearer token from —
-// an env var so the secret never appears in argv or shard-dispatch
-// command lines.
+// TokenEnv names the environment variable the HTTP client reads its
+// bearer token (one of the server's pracsimd -tokens) from — an env var
+// so the secret never appears in argv or shard-dispatch command lines.
 const TokenEnv = "PRACSTORE_TOKEN"
 
 // HTTPOptions tunes the client's failure policy. The zero value means
@@ -85,7 +84,8 @@ func (o HTTPOptions) withDefaults() HTTPOptions {
 	return o
 }
 
-// HTTP is the remote backend: a client for the pracstored service. Every
+// HTTP is the remote backend: a client for the pracsimd store routes
+// (the FrameRoutes a FrameHandler serves). Every
 // entry travels as the same self-validating frame the disk backend
 // stores, so checksums are verified on both ends of both directions —
 // the server rejects corrupt uploads before publishing, the client
@@ -111,7 +111,7 @@ type HTTP struct {
 	cooldown     time.Duration
 }
 
-// OpenHTTP returns a client backend for a pracstored base URL with the
+// OpenHTTP returns a client backend for a pracsimd base URL with the
 // default failure policy. The bearer token, when the server requires
 // one, comes from $PRACSTORE_TOKEN. Only the URL is validated here — the
 // server is contacted lazily, and an unreachable server degrades every

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"pracsim/internal/exp/store"
-	"pracsim/internal/exp/store/server"
 )
 
 func disk(t *testing.T) *store.Disk {
@@ -117,7 +116,7 @@ func TestUnreachableServerDegrades(t *testing.T) {
 // the local tier never saw degrade to misses when the remote dies.
 func TestTieredReadThrough(t *testing.T) {
 	remoteDisk := disk(t)
-	ts := httptest.NewServer(server.New(remoteDisk, server.Options{}))
+	ts := httptest.NewServer(store.NewFrameHandler(remoteDisk))
 	defer ts.Close()
 
 	// Seed the server directly.
@@ -159,7 +158,7 @@ func TestTieredReadThrough(t *testing.T) {
 // server; a second worker (fresh local tier) reads it back remotely.
 func TestTieredPutWritesBoth(t *testing.T) {
 	remoteDisk := disk(t)
-	ts := httptest.NewServer(server.New(remoteDisk, server.Options{}))
+	ts := httptest.NewServer(store.NewFrameHandler(remoteDisk))
 	defer ts.Close()
 
 	local := disk(t)
@@ -185,7 +184,7 @@ func TestTieredPutWritesBoth(t *testing.T) {
 // resurrecting a deleted entry.
 func TestTieredDeleteRemovesBothTiers(t *testing.T) {
 	remoteDisk := disk(t)
-	ts := httptest.NewServer(server.New(remoteDisk, server.Options{}))
+	ts := httptest.NewServer(store.NewFrameHandler(remoteDisk))
 	defer ts.Close()
 
 	local := disk(t)
@@ -268,7 +267,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := l.Addr().String()
-	srv := &http.Server{Handler: server.New(d, server.Options{})}
+	srv := &http.Server{Handler: store.NewFrameHandler(d)}
 	go srv.Serve(l)
 
 	const cooldown = 100 * time.Millisecond
@@ -300,7 +299,7 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2 := &http.Server{Handler: server.New(d, server.Options{})}
+	srv2 := &http.Server{Handler: store.NewFrameHandler(d)}
 	go srv2.Serve(l2)
 	defer srv2.Close()
 
@@ -356,7 +355,7 @@ func TestPerAttemptTimeout(t *testing.T) {
 // reclaimed by Prune.
 func TestTieredPruneReclaimsLocalOnlyOrphans(t *testing.T) {
 	remoteDisk := disk(t)
-	ts := httptest.NewServer(server.New(remoteDisk, server.Options{}))
+	ts := httptest.NewServer(store.NewFrameHandler(remoteDisk))
 	defer ts.Close()
 	local := disk(t)
 	tiered := store.NewTiered(local, httpClient(t, ts.URL))

@@ -63,8 +63,9 @@ type lifecycle struct {
 	pins    map[string]int     // in-flight Get/Put hashes a sweep must skip
 	dirty   bool               // index changed since last persist
 
-	sweeping atomic.Bool
-	sweepWG  sync.WaitGroup
+	sweeping  atomic.Bool
+	sweepMu   sync.Mutex
+	sweepDone chan struct{} // closed when the latest background sweep ends
 
 	evicted, evictedBytes, sweeps atomic.Int64
 }
@@ -312,23 +313,38 @@ func (d *Disk) maybeSweep() {
 	if !lc.sweeping.CompareAndSwap(false, true) {
 		return
 	}
-	lc.sweepWG.Add(1)
+	done := make(chan struct{})
+	lc.sweepMu.Lock()
+	lc.sweepDone = done
+	lc.sweepMu.Unlock()
 	go func() {
-		defer lc.sweepWG.Done()
+		defer close(done)
 		defer lc.sweeping.Store(false)
 		d.sweepOnce()
 	}()
 }
 
+// waitSweep blocks until the latest background sweep has ended. (A
+// WaitGroup cannot do this: Puts start sweeps while SweepNow waits, and
+// a WaitGroup forbids an Add from zero concurrent with Wait.)
+func (lc *lifecycle) waitSweep() {
+	lc.sweepMu.Lock()
+	done := lc.sweepDone
+	lc.sweepMu.Unlock()
+	if done != nil {
+		<-done
+	}
+}
+
 // SweepNow runs one eviction sweep synchronously — the maintenance
-// entry point (tests, pracstored's open-time drain). It waits for any
+// entry point (tests and maintenance tools). It waits for any
 // in-flight background sweep first so counters are stable afterwards.
 func (d *Disk) SweepNow() {
 	lc := d.lc
 	if lc == nil {
 		return
 	}
-	lc.sweepWG.Wait()
+	lc.waitSweep()
 	if lc.sweeping.CompareAndSwap(false, true) {
 		d.sweepOnce()
 		lc.sweeping.Store(false)
@@ -339,7 +355,7 @@ func (d *Disk) SweepNow() {
 // hook that makes eviction assertions deterministic.
 func (d *Disk) WaitSweeps() {
 	if d.lc != nil {
-		d.lc.sweepWG.Wait()
+		d.lc.waitSweep()
 	}
 }
 

@@ -279,27 +279,3 @@ func TestSweepSkipsPinnedEntries(t *testing.T) {
 		t.Errorf("store still over budget after unpinned sweep: %+v", ev)
 	}
 }
-
-// TestTmpSweepAgeOption: the orphaned put-*.tmp threshold is an Open
-// option, so tests can sweep young debris without faking mtimes.
-func TestTmpSweepAgeOption(t *testing.T) {
-	dir := t.TempDir()
-	stale := filepath.Join(dir, "put-stale.tmp")
-	if err := os.WriteFile(stale, []byte("debris"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-10 * time.Millisecond)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatal(err)
-	}
-	d, err := OpenDiskWith(dir, DiskOptions{TmpSweepAge: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Errorf("orphaned tmp not swept under a 1ms threshold: %v", err)
-	}
-	if d.TmpSwept() != 1 {
-		t.Errorf("TmpSwept = %d, want 1", d.TmpSwept())
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pracsim/internal/exp/store"
-	"pracsim/internal/exp/store/server"
 )
 
 func TestKeySchema(t *testing.T) {
@@ -110,11 +109,11 @@ func TestMaintenanceOnDisk(t *testing.T) {
 }
 
 // TestMaintenanceOverHTTP: the identical maintenance pass against a
-// pracstored server — the satellite contract that both backends share
+// frame server — the satellite contract that both backends share
 // one maintenance surface.
 func TestMaintenanceOverHTTP(t *testing.T) {
 	remoteDisk := disk(t)
-	ts := httptest.NewServer(server.New(remoteDisk, server.Options{}))
+	ts := httptest.NewServer(store.NewFrameHandler(remoteDisk))
 	defer ts.Close()
 	h := httpClient(t, ts.URL)
 	seedSchemas(t, h)
@@ -125,7 +124,7 @@ func TestMaintenanceOverHTTP(t *testing.T) {
 // authoritative remote, and pruning clears local copies too.
 func TestMaintenanceOverTiered(t *testing.T) {
 	remoteDisk := disk(t)
-	ts := httptest.NewServer(server.New(remoteDisk, server.Options{}))
+	ts := httptest.NewServer(store.NewFrameHandler(remoteDisk))
 	defer ts.Close()
 	local := disk(t)
 	tiered := store.NewTiered(local, httpClient(t, ts.URL))

@@ -1,4 +1,4 @@
-package server_test
+package store_test
 
 import (
 	"bytes"
@@ -10,35 +10,24 @@ import (
 	"testing"
 
 	"pracsim/internal/exp/store"
-	"pracsim/internal/exp/store/server"
 )
 
-func newServer(t *testing.T, opts server.Options) (*httptest.Server, *store.Disk) {
+// newFrameServer serves a fresh disk store's frame API on loopback.
+func newFrameServer(t *testing.T) (*httptest.Server, *store.FrameHandler, *store.Disk) {
 	t.Helper()
-	disk, err := store.OpenDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(server.New(disk, opts))
+	d := disk(t)
+	fh := store.NewFrameHandler(d)
+	ts := httptest.NewServer(fh)
 	t.Cleanup(ts.Close)
-	return ts, disk
-}
-
-func client(t *testing.T, ts *httptest.Server) *store.HTTP {
-	t.Helper()
-	h, err := store.OpenHTTP(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return h
+	return ts, fh, d
 }
 
 // TestRoundTrip is the wire contract: a Put through one client is a
 // validated Get through another, small and large (gzip-compressed)
 // payloads alike, and the served directory is an ordinary disk store.
 func TestRoundTrip(t *testing.T) {
-	ts, disk := newServer(t, server.Options{})
-	a, b := client(t, ts), client(t, ts)
+	ts, fh, d := newFrameServer(t)
+	a, b := httpClient(t, ts.URL), httpClient(t, ts.URL)
 
 	small := []byte("small payload")
 	large := bytes.Repeat([]byte("0123456789abcdef"), 1024) // 16 KB: crosses both gzip thresholds
@@ -55,7 +44,7 @@ func TestRoundTrip(t *testing.T) {
 		}
 		// The server published via the ordinary disk path: a local open
 		// of the same directory sees the entry.
-		if got, err := disk.Get(key); err != nil || !bytes.Equal(got, want) {
+		if got, err := d.Get(key); err != nil || !bytes.Equal(got, want) {
 			t.Errorf("disk.Get(%s) = %d bytes, %v", key, len(got), err)
 		}
 	}
@@ -66,12 +55,18 @@ func TestRoundTrip(t *testing.T) {
 	if rs.Hits != 2 || rs.Misses != 1 || rs.Errors != 0 {
 		t.Errorf("client stats = %+v", rs)
 	}
+	// The handler counts the same traffic from its side: payload bytes
+	// in, frame bytes out.
+	fs := fh.Stats()
+	if fs.Hits != 2 || fs.Misses != 1 || fs.PutRejects != 0 || fs.BytesIn != int64(len(small)+len(large)) || fs.BytesOut <= fs.BytesIn {
+		t.Errorf("handler stats = %+v", fs)
+	}
 }
 
 // TestStatListDelete covers the maintenance surface over the wire.
 func TestStatListDelete(t *testing.T) {
-	ts, _ := newServer(t, server.Options{})
-	h := client(t, ts)
+	ts, _, _ := newFrameServer(t)
+	h := httpClient(t, ts.URL)
 	if err := h.Put("pracsim/run/v3/x", []byte("xxxx")); err != nil {
 		t.Fatal(err)
 	}
@@ -110,57 +105,11 @@ func TestStatListDelete(t *testing.T) {
 	}
 }
 
-// TestBearerTokenAuth: with a token configured, every /v1/* route
-// refuses anonymous requests, the right token opens them, and the
-// probe/scrape endpoints stay open — while the Store front keeps
-// degrading the refusals to misses, never failures.
-func TestBearerTokenAuth(t *testing.T) {
-	ts, _ := newServer(t, server.Options{Token: "sekrit"})
-
-	t.Setenv(store.TokenEnv, "sekrit")
-	authed := client(t, ts)
-	if err := authed.Put("pracsim/run/v3/k", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-
-	t.Setenv(store.TokenEnv, "wrong")
-	anon := client(t, ts)
-	if _, err := anon.Get("pracsim/run/v3/k"); err == nil || err == store.ErrNotFound {
-		t.Errorf("wrong token read an entry: %v", err)
-	}
-	if err := anon.Put("pracsim/run/v3/k2", []byte("x")); err == nil {
-		t.Error("wrong token wrote an entry")
-	}
-	if _, err := anon.List(); err == nil {
-		t.Error("wrong token listed the store")
-	}
-	// The front degrades an auth failure like any other backend error.
-	front := store.NewStore(anon)
-	if _, ok := front.Get("pracsim/run/v3/k"); ok {
-		t.Error("front served a hit through an auth failure")
-	}
-	if st := front.Stats(); st.Misses != 1 || st.Remote.Errors == 0 {
-		t.Errorf("front stats = %+v, want a miss and remote errors", st)
-	}
-
-	for _, path := range []string{"/healthz", "/metrics"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("%s = %s (%q), want open 200", path, resp.Status, body)
-		}
-	}
-}
-
 // TestPutValidation: the server rejects—and never publishes—uploads
 // that fail frame validation: garbage bodies, checksum flips, and
 // well-formed frames addressed at the wrong hash.
 func TestPutValidation(t *testing.T) {
-	ts, disk := newServer(t, server.Options{})
+	ts, fh, d := newFrameServer(t)
 	key := "pracsim/run/v3/k"
 	frame := store.EncodeFrame(key, []byte("a payload worth protecting"))
 	flipped := append([]byte{}, frame...)
@@ -192,49 +141,20 @@ func TestPutValidation(t *testing.T) {
 	if resp := put(strings.Repeat("z", 64), frame); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed-hash PUT = %s, want 400", resp.Status)
 	}
-	if infos, err := disk.List(); err != nil || len(infos) != 0 {
+	if infos, err := d.List(); err != nil || len(infos) != 0 {
 		t.Errorf("rejected uploads landed in the store: %v, %v", infos, err)
+	}
+	// A malformed hash is refused before the body is read, so only the
+	// three frame-validation failures count as rejects.
+	if n := fh.Stats().PutRejects; n != 3 {
+		t.Errorf("PutRejects = %d, want 3", n)
 	}
 
 	if resp := put(store.Hash(key), frame); resp.StatusCode != http.StatusNoContent {
 		t.Errorf("valid PUT = %s, want 204", resp.Status)
 	}
-	if got, err := disk.Get(key); err != nil || string(got) != "a payload worth protecting" {
+	if got, err := d.Get(key); err != nil || string(got) != "a payload worth protecting" {
 		t.Errorf("valid PUT not stored: %q, %v", got, err)
-	}
-}
-
-// TestMetrics: the Prometheus endpoint reports the request counters and
-// the store footprint gauges.
-func TestMetrics(t *testing.T) {
-	ts, _ := newServer(t, server.Options{})
-	h := client(t, ts)
-	if err := h.Put("pracsim/run/v3/m", []byte("metric payload")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Get("pracsim/run/v3/m"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Get("pracsim/run/v3/absent"); err != store.ErrNotFound {
-		t.Fatal(err)
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{
-		"pracstored_gets_total 2",
-		"pracstored_hits_total 1",
-		"pracstored_misses_total 1",
-		"pracstored_puts_total 1",
-		"pracstored_entries 1",
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("metrics missing %q", want)
-		}
 	}
 }
 
@@ -242,7 +162,7 @@ func TestMetrics(t *testing.T) {
 // readers on shared and distinct keys — the fleet's actual access
 // pattern; every read must observe a complete payload for its key.
 func TestConcurrentClients(t *testing.T) {
-	ts, _ := newServer(t, server.Options{})
+	ts, _, _ := newFrameServer(t)
 	const clients = 8
 	done := make(chan error, clients)
 	for c := 0; c < clients; c++ {

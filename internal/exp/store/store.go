@@ -9,8 +9,8 @@
 //
 //   - Disk — a local directory of entry files (the original store; the
 //     on-disk format is unchanged)
-//   - HTTP — a client for the pracstored service (cmd/pracstored), so a
-//     whole dispatch fleet shares one warm store
+//   - HTTP — a client for the store routes pracsimd serves (see
+//     FrameHandler), so a whole dispatch fleet shares one warm store
 //   - Tiered — a local Disk read-through cache over a remote, serving
 //     hot keys locally and populating both on a remote hit
 //
@@ -102,10 +102,6 @@ func (s *Store) Backend() Backend { return s.b }
 // dispatch driver forwards it to every pull child.
 func (s *Store) Spec() string { return s.b.Spec() }
 
-// Dir reports the store's root directory (its Spec); kept for the
-// callers that predate remote backends.
-func (s *Store) Dir() string { return s.b.Spec() }
-
 // DefaultDir is the store location when no explicit directory is given:
 // the user cache directory (~/.cache/tpracsim on Linux).
 func DefaultDir() (string, error) {
@@ -116,38 +112,10 @@ func DefaultDir() (string, error) {
 	return filepath.Join(base, "tpracsim"), nil
 }
 
-// IsRemoteSpec reports whether a -store argument names a pracstored
-// server rather than a directory or a mode keyword.
+// IsRemoteSpec reports whether a -store argument names a store server
+// (the pracsimd store routes) rather than a directory or a mode keyword.
 func IsRemoteSpec(mode string) bool {
 	return strings.HasPrefix(mode, "http://") || strings.HasPrefix(mode, "https://")
-}
-
-// ResolveBackend is the single entry point every CLI routes its -store
-// flag through:
-//
-//   - "off", "none", "" — persistence disabled (nil store)
-//   - "auto" — a disk store at DefaultDir
-//   - "http://…" / "https://…" — a pracstored server, fronted by a local
-//     disk read-through cache under DefaultDir so hot keys stay local
-//   - anything else — a disk store at that directory
-//
-// "auto" and the remote local cache are best-effort: the store is
-// strictly a cache, so when the user cache directory cannot be resolved
-// or created (no $HOME in a CI container, a read-only home) "auto"
-// degrades to store-off and a remote spec degrades to a pure remote
-// store, each returning a one-line warning for the CLI to print instead
-// of failing an invocation that never asked for that directory by name.
-// An explicit directory or URL still fails hard — the user asked for
-// that location.
-func ResolveBackend(mode string) (st *Store, warning string, err error) {
-	return ResolveBackendWith(mode, HTTPOptions{})
-}
-
-// ResolveBackendWith is ResolveBackend with an explicit failure policy
-// for the remote leg — how -store-timeout and -store-retries reach the
-// client.
-func ResolveBackendWith(mode string, opts HTTPOptions) (st *Store, warning string, err error) {
-	return Resolve(mode, Options{HTTP: opts})
 }
 
 // Options combines the per-tier tuning a CLI's -store-* flags select:
@@ -159,8 +127,27 @@ type Options struct {
 	HTTP HTTPOptions
 }
 
-// Resolve is ResolveBackend with the full option surface — how
-// -store-budget, -store-timeout and -store-retries reach the backends.
+// Resolve is the single entry point every CLI routes its -store flag
+// through:
+//
+//   - "off", "none", "" — persistence disabled (nil store)
+//   - "auto" — a disk store at DefaultDir
+//   - "http://…" / "https://…" — a pracsimd daemon's store routes,
+//     fronted by a local disk read-through cache under DefaultDir so hot
+//     keys stay local
+//   - anything else — a disk store at that directory
+//
+// "auto" and the remote local cache are best-effort: the store is
+// strictly a cache, so when the user cache directory cannot be resolved
+// or created (no $HOME in a CI container, a read-only home) "auto"
+// degrades to store-off and a remote spec degrades to a pure remote
+// store, each returning a one-line warning for the CLI to print instead
+// of failing an invocation that never asked for that directory by name.
+// An explicit directory or URL still fails hard — the user asked for
+// that location.
+//
+// opts carries the per-tier tuning — how -store-budget, -store-timeout
+// and -store-retries reach the backends.
 func Resolve(mode string, opts Options) (st *Store, warning string, err error) {
 	openDisk := func(dir string) (*Store, error) {
 		d, err := OpenDiskWith(dir, opts.Disk)

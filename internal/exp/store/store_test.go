@@ -142,37 +142,37 @@ func TestCraftedLengthIsAMissNotAPanic(t *testing.T) {
 	}
 }
 
-// TestResolveBackend pins the CLI flag resolution shared by the cmd
+// TestResolve pins the CLI flag resolution shared by the cmd
 // binaries: off modes, explicit directories, and remote URLs all route
 // through the one entry point.
-func TestResolveBackend(t *testing.T) {
+func TestResolve(t *testing.T) {
 	for _, mode := range []string{"off", "none", ""} {
-		st, warn, err := ResolveBackend(mode)
+		st, warn, err := Resolve(mode, Options{})
 		if st != nil || warn != "" || err != nil {
-			t.Errorf("ResolveBackend(%q) = %v, %q, %v; want nil store", mode, st, warn, err)
+			t.Errorf("Resolve(%q) = %v, %q, %v; want nil store", mode, st, warn, err)
 		}
 	}
 	dir := t.TempDir()
-	st, warn, err := ResolveBackend(dir)
+	st, warn, err := Resolve(dir, Options{})
 	if err != nil || warn != "" || st == nil || st.Spec() != dir {
-		t.Errorf("ResolveBackend(dir) = %v, %q, %v", st, warn, err)
+		t.Errorf("Resolve(dir) = %v, %q, %v", st, warn, err)
 	}
 	if _, ok := st.Backend().(*Disk); !ok {
-		t.Errorf("ResolveBackend(dir) backend is %T, want *Disk", st.Backend())
+		t.Errorf("Resolve(dir) backend is %T, want *Disk", st.Backend())
 	}
 }
 
-// TestResolveBackendRemote: an http:// spec resolves to a tiered store
+// TestResolveRemote: an http:// spec resolves to a tiered store
 // (local read-through cache over the remote) whose Spec is the server
 // URL — what dispatch forwards to fleet workers. Without a usable cache
 // directory it degrades to a pure remote with a warning; a malformed URL
 // fails hard, like any explicitly named location.
-func TestResolveBackendRemote(t *testing.T) {
+func TestResolveRemote(t *testing.T) {
 	t.Setenv("XDG_CACHE_HOME", t.TempDir())
 	const url = "http://127.0.0.1:59999"
-	st, warn, err := ResolveBackend(url)
+	st, warn, err := Resolve(url, Options{})
 	if err != nil || warn != "" || st == nil {
-		t.Fatalf("ResolveBackend(url) = %v, %q, %v", st, warn, err)
+		t.Fatalf("Resolve(url) = %v, %q, %v", st, warn, err)
 	}
 	if st.Spec() != url {
 		t.Errorf("tiered Spec = %q, want the server URL %q", st.Spec(), url)
@@ -189,7 +189,7 @@ func TestResolveBackendRemote(t *testing.T) {
 	}
 
 	// Two different servers must not share one local tier.
-	st2, _, err := ResolveBackend("http://127.0.0.1:59998")
+	st2, _, err := Resolve("http://127.0.0.1:59998", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +199,9 @@ func TestResolveBackendRemote(t *testing.T) {
 
 	t.Setenv("HOME", "")
 	t.Setenv("XDG_CACHE_HOME", "")
-	st, warn, err = ResolveBackend(url)
+	st, warn, err = Resolve(url, Options{})
 	if err != nil || st == nil {
-		t.Fatalf("ResolveBackend(url) without cache dir = %v, %q, %v", st, warn, err)
+		t.Fatalf("Resolve(url) without cache dir = %v, %q, %v", st, warn, err)
 	}
 	if _, ok := st.Backend().(*HTTP); !ok {
 		t.Errorf("degraded backend is %T, want pure *HTTP", st.Backend())
@@ -210,27 +210,27 @@ func TestResolveBackendRemote(t *testing.T) {
 		t.Errorf("degraded remote warning unhelpful: %q", warn)
 	}
 
-	if _, _, err := ResolveBackend("http://"); err == nil {
+	if _, _, err := Resolve("http://", Options{}); err == nil {
 		t.Error("malformed URL accepted")
 	}
 }
 
-// TestResolveBackendAutoDegradesToOff: the store is strictly a cache, so
+// TestResolveAutoDegradesToOff: the store is strictly a cache, so
 // an environment where the user cache directory cannot be resolved (no
 // $HOME — CI containers) must degrade "auto" to store-off with a
 // warning, not fail the CLI. An explicit directory still fails hard.
-func TestResolveBackendAutoDegradesToOff(t *testing.T) {
+func TestResolveAutoDegradesToOff(t *testing.T) {
 	t.Setenv("HOME", "")
 	t.Setenv("XDG_CACHE_HOME", "")
-	st, warn, err := ResolveBackend("auto")
+	st, warn, err := Resolve("auto", Options{})
 	if err != nil {
-		t.Fatalf("ResolveBackend(auto) hard-failed without a cache dir: %v", err)
+		t.Fatalf("Resolve(auto) hard-failed without a cache dir: %v", err)
 	}
 	if st != nil {
-		t.Errorf("ResolveBackend(auto) opened a store at %q without a cache dir", st.Spec())
+		t.Errorf("Resolve(auto) opened a store at %q without a cache dir", st.Spec())
 	}
 	if warn == "" || !strings.Contains(warn, "-store DIR") {
-		t.Errorf("degraded ResolveBackend(auto) warning unhelpful: %q", warn)
+		t.Errorf("degraded Resolve(auto) warning unhelpful: %q", warn)
 	}
 	// The explicit-path contract is unchanged: the user named the
 	// location, so failing to create it is an error.
@@ -238,8 +238,8 @@ func TestResolveBackendAutoDegradesToOff(t *testing.T) {
 	if werr := os.WriteFile(bad, []byte("file in the way"), 0o644); werr != nil {
 		t.Fatal(werr)
 	}
-	if _, _, err := ResolveBackend(filepath.Join(bad, "sub")); err == nil {
-		t.Error("ResolveBackend(explicit unusable dir) did not fail")
+	if _, _, err := Resolve(filepath.Join(bad, "sub"), Options{}); err == nil {
+		t.Error("Resolve(explicit unusable dir) did not fail")
 	}
 }
 
@@ -296,7 +296,7 @@ func TestConcurrentWriters(t *testing.T) {
 	}
 	wg.Wait()
 	// No temp files may survive.
-	entries, err := os.ReadDir(s.Dir())
+	entries, err := os.ReadDir(s.Spec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,10 +71,11 @@ const (
 	// StoreHTTPPut fires in the store client's write-side requests
 	// (PUT/DELETE): err, timeout, http500.
 	StoreHTTPPut = "store.http.put"
-	// ServerGet fires in the pracstored GET handler: err (500), trunc,
-	// corrupt.
+	// ServerGet fires in the GET handler of the pracsimd store routes:
+	// err (500), trunc, corrupt.
 	ServerGet = "server.get"
-	// ServerPut fires in the pracstored PUT handler: err (500).
+	// ServerPut fires in the PUT handler of the pracsimd store routes:
+	// err (500).
 	ServerPut = "server.put"
 	// ShardRead fires in the shard-file reader (validate and merge):
 	// err, corrupt.

@@ -1,10 +1,9 @@
-// Package httpd holds the HTTP plumbing the pracsim daemons share:
-// bearer-token authentication and Prometheus text-format metrics,
-// including per-endpoint request counters and a coarse latency
-// histogram. pracstored (the store service) and pracsimd (the
-// experiment service) both mount their routes through this package, so
-// the two daemons present one auth contract and one metrics dialect
-// instead of drifting apart.
+// Package httpd holds pracsimd's HTTP plumbing: bearer-token
+// authentication and Prometheus text-format metrics, including
+// per-endpoint request counters and a coarse latency histogram. Every
+// authenticated route — the job API, the lease protocol and the
+// pracsimd store routes — mounts through this package, so the daemon
+// presents one auth contract and one metrics dialect.
 package httpd
 
 import (
@@ -27,20 +26,9 @@ type Tokens struct {
 // ParseTokens builds a token set from a comma-separated list, the CLI
 // flag form. Empty elements are dropped; an empty spec is the open set.
 func ParseTokens(spec string) *Tokens {
-	var list []string
-	for _, t := range strings.Split(spec, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			list = append(list, t)
-		}
-	}
-	return NewTokens(list...)
-}
-
-// NewTokens builds a token set from explicit tokens.
-func NewTokens(list ...string) *Tokens {
-	t := &Tokens{set: make(map[string]bool, len(list))}
-	for _, tok := range list {
-		if tok != "" {
+	t := &Tokens{set: make(map[string]bool)}
+	for _, tok := range strings.Split(spec, ",") {
+		if tok = strings.TrimSpace(tok); tok != "" {
 			t.set[tok] = true
 		}
 	}
@@ -53,35 +41,22 @@ func (t *Tokens) Open() bool { return len(t.set) == 0 }
 // AuthFailures counts requests rejected for a missing or wrong token.
 func (t *Tokens) AuthFailures() int64 { return t.failures.Load() }
 
-// Match checks a request's Authorization header against the set,
-// returning the authenticated token (empty on an open set).
-func (t *Tokens) Match(r *http.Request) (string, bool) {
-	if t.Open() {
-		return "", true
-	}
-	got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-	if !ok || !t.set[got] {
-		return "", false
-	}
-	return got, true
-}
-
 // tokenKey carries the authenticated bearer token through the request
 // context.
 type tokenKey struct{}
 
 // Require wraps a handler with the bearer-token check: 401 on a missing
 // or wrong token, and the authenticated token injected into the request
-// context (see Token) on success.
+// context (see Token) on success. An open set passes every request.
 func (t *Tokens) Require(h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		tok, ok := t.Match(r)
-		if !ok {
-			t.failures.Add(1)
-			http.Error(w, "missing or invalid bearer token", http.StatusUnauthorized)
-			return
-		}
-		if tok != "" {
+		if !t.Open() {
+			tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
+			if !ok || !t.set[tok] {
+				t.failures.Add(1)
+				http.Error(w, "missing or invalid bearer token", http.StatusUnauthorized)
+				return
+			}
 			r = r.WithContext(context.WithValue(r.Context(), tokenKey{}, tok))
 		}
 		h(w, r)
