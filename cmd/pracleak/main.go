@@ -7,12 +7,15 @@
 // on the worker count. Each experiment's whole result is memoized in the
 // persistent run store (-store, on by default), keyed by experiment
 // parameters and the simulator schema version, so a warm rerun executes
-// no simulations and reproduces byte-identical reports.
+// no simulations and reproduces byte-identical reports. The store is
+// also the resume path: each experiment is stored as it finishes, so an
+// interrupted -exp all re-run over the same store recomputes only the
+// experiments it had not finished.
 //
 // Usage:
 //
 //	pracleak -exp fig3|table2|fig4|fig5|fig9|all [-quick] [-workers N]
-//	         [-store DIR|URL|auto|off] [-journal DIR|off] [-csvdir DIR]
+//	         [-store DIR|URL|auto|off] [-csvdir DIR]
 package main
 
 import (
@@ -23,9 +26,7 @@ import (
 	"time"
 
 	"pracsim/internal/exp"
-	"pracsim/internal/exp/journal"
 	"pracsim/internal/exp/store"
-	"pracsim/internal/sim"
 	"pracsim/internal/ticks"
 )
 
@@ -34,31 +35,10 @@ type report interface {
 	CSV() string
 }
 
-// memo adapts exp.MemoWith to the report interface: the concrete result
-// is memoized (content-addressed by key, crash-journaled when -journal
-// is set), the caller sees a report.
-func memo[T report](st *store.Store, jl *journal.Journal, key string, fn func() (T, error)) (report, error) {
-	return exp.MemoWith(st, jl, key, fn)
-}
-
-// openJournal opens the crash-recovery journal for -journal; failures
-// degrade to running without one.
-func openJournal(mode string, fpParts ...string) *journal.Journal {
-	if mode == "" || mode == "off" {
-		return nil
-	}
-	jl, rec, err := journal.Open(filepath.Join(mode, "session.journal"), journal.Options{
-		Schema:      sim.SchemaVersion,
-		Fingerprint: journal.Fingerprint(fpParts...),
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pracleak: opening journal: %v; running without a journal\n", err)
-		return nil
-	}
-	if !rec.Fresh {
-		fmt.Printf("journal: resuming — %d record(s) replayed\n", rec.Records)
-	}
-	return jl
+// memo adapts exp.Memo to the report interface: the concrete result is
+// memoized (content-addressed by key), the caller sees a report.
+func memo[T report](st *store.Store, key string, fn func() (T, error)) (report, error) {
+	return exp.Memo(st, key, fn)
 }
 
 func main() {
@@ -67,7 +47,6 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent sweep simulations (0 = all cores, 1 = serial)")
 	storeMode := flag.String("store", "auto", "persistent result store: a directory, a pracsimd URL (http://host:port), 'auto' (user cache dir) or 'off'")
 	storeTimeout := flag.Duration("store-timeout", 10*time.Second, "per-attempt deadline for remote store requests")
-	journalMode := flag.String("journal", "off", "crash-recovery journal directory ('off' = none); an interrupted run re-invoked with the same arguments skips completed experiments")
 	csvDir := flag.String("csvdir", "", "directory to write CSV files into (optional)")
 	flag.Parse()
 
@@ -79,9 +58,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pracleak: %v\n", err)
 		os.Exit(1)
 	}
-	jl := openJournal(*journalMode,
-		fmt.Sprintf("schema=%d", sim.SchemaVersion), "cmd=pracleak",
-		"exp="+*which, fmt.Sprintf("quick=%t", *quick))
 
 	runs := map[string]func() (report, error){
 		"fig3": func() (report, error) {
@@ -89,7 +65,7 @@ func main() {
 			if *quick {
 				d = ticks.FromUS(200)
 			}
-			return memo(st, jl, fmt.Sprintf("pracleak/fig3/dur=%d", d), func() (exp.Fig3Result, error) {
+			return memo(st, fmt.Sprintf("pracleak/fig3/dur=%d", d), func() (exp.Fig3Result, error) {
 				return exp.RunFig3(d, *workers)
 			})
 		},
@@ -98,12 +74,12 @@ func main() {
 			if *quick {
 				symbols = 8
 			}
-			return memo(st, jl, fmt.Sprintf("pracleak/table2/symbols=%d", symbols), func() (exp.Table2Result, error) {
+			return memo(st, fmt.Sprintf("pracleak/table2/symbols=%d", symbols), func() (exp.Table2Result, error) {
 				return exp.RunTable2(symbols, *workers)
 			})
 		},
 		"fig4": func() (report, error) {
-			return memo(st, jl, "pracleak/fig4/enc=200", func() (exp.Fig4Result, error) {
+			return memo(st, "pracleak/fig4/enc=200", func() (exp.Fig4Result, error) {
 				return exp.RunFig4(200)
 			})
 		},
@@ -112,7 +88,7 @@ func main() {
 			if *quick {
 				stride = 32
 			}
-			return memo(st, jl, fmt.Sprintf("pracleak/fig5/enc=200/stride=%d", stride), func() (exp.Fig5Result, error) {
+			return memo(st, fmt.Sprintf("pracleak/fig5/enc=200/stride=%d", stride), func() (exp.Fig5Result, error) {
 				return exp.RunFig5(200, stride, *workers)
 			})
 		},
@@ -121,7 +97,7 @@ func main() {
 			if *quick {
 				stride = 64
 			}
-			return memo(st, jl, fmt.Sprintf("pracleak/fig9/enc=200/stride=%d", stride), func() (exp.Fig9Result, error) {
+			return memo(st, fmt.Sprintf("pracleak/fig9/enc=200/stride=%d", stride), func() (exp.Fig9Result, error) {
 				return exp.RunFig9(200, stride, *workers)
 			})
 		},
@@ -161,9 +137,5 @@ func main() {
 	}
 	if st != nil {
 		fmt.Println(st.Stats().Report(st.Spec()))
-	}
-	if jl != nil {
-		fmt.Println(jl.Stats().Report(jl.Path()))
-		jl.Close()
 	}
 }

@@ -30,8 +30,9 @@
 // each token is a tenant with its own job listing, a -quota cap on
 // concurrently active jobs, and a round-robin fair share of worker
 // capacity within each priority level. The store routes take the same
-// tokens (clients send theirs in $PRACSTORE_TOKEN). /healthz and
-// /metrics stay open.
+// tokens (clients send theirs in $PRACSIMD_TOKEN, the variable
+// `tpracsim -pull-token` also defaults to). /healthz and /metrics stay
+// open.
 //
 // SIGTERM drains: the listener stops, in-flight requests finish, the
 // queue stops granting and the journal syncs — the checkpoint a restart

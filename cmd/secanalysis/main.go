@@ -3,12 +3,12 @@
 // across thresholds), and (optionally) an empirical Feinting attack
 // validating a solved window against the live simulator. The Figure 7
 // result is memoized in the persistent run store (-store, on by
-// default); the empirical validation always runs live.
+// default), so a rerun skips the sweep once any run has finished it;
+// the empirical validation always runs live.
 //
 // Usage:
 //
-//	secanalysis [-empirical] [-nbo N] [-store DIR|URL|auto|off]
-//	            [-journal DIR|off] [-csvdir DIR]
+//	secanalysis [-empirical] [-nbo N] [-store DIR|URL|auto|off] [-csvdir DIR]
 package main
 
 import (
@@ -21,9 +21,7 @@ import (
 	"pracsim/internal/analysis"
 	"pracsim/internal/dram"
 	"pracsim/internal/exp"
-	"pracsim/internal/exp/journal"
 	"pracsim/internal/exp/store"
-	"pracsim/internal/sim"
 	"pracsim/internal/ticks"
 )
 
@@ -32,7 +30,6 @@ func main() {
 	nbo := flag.Int("nbo", 256, "Back-Off threshold for the empirical validation")
 	storeMode := flag.String("store", "auto", "persistent result store: a directory, a pracsimd URL (http://host:port), 'auto' (user cache dir) or 'off'")
 	storeTimeout := flag.Duration("store-timeout", 10*time.Second, "per-attempt deadline for remote store requests")
-	journalMode := flag.String("journal", "off", "crash-recovery journal directory ('off' = none)")
 	csvDir := flag.String("csvdir", "", "directory to write fig7.csv into (optional)")
 	flag.Parse()
 
@@ -44,23 +41,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "secanalysis:", err)
 		os.Exit(1)
 	}
-	var jl *journal.Journal
-	if *journalMode != "" && *journalMode != "off" {
-		j, rec, jerr := journal.Open(filepath.Join(*journalMode, "session.journal"), journal.Options{
-			Schema:      sim.SchemaVersion,
-			Fingerprint: journal.Fingerprint(fmt.Sprintf("schema=%d", sim.SchemaVersion), "cmd=secanalysis"),
-		})
-		if jerr != nil {
-			fmt.Fprintf(os.Stderr, "secanalysis: opening journal: %v; running without a journal\n", jerr)
-		} else {
-			jl = j
-			if !rec.Fresh {
-				fmt.Printf("journal: resuming — %d record(s) replayed\n", rec.Records)
-			}
-			defer jl.Close()
-		}
-	}
-	res, err := exp.MemoWith(st, jl, "secanalysis/fig7", func() (exp.Fig7Result, error) {
+	res, err := exp.Memo(st, "secanalysis/fig7", func() (exp.Fig7Result, error) {
 		return exp.RunFig7()
 	})
 	if err != nil {
@@ -69,9 +50,6 @@ func main() {
 	}
 	if st != nil {
 		fmt.Println(st.Stats().Report(st.Spec()))
-	}
-	if jl != nil {
-		fmt.Println(jl.Stats().Report(jl.Path()))
 	}
 	fmt.Println(res.Render())
 	if *csvDir != "" {

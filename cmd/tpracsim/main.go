@@ -8,7 +8,10 @@
 // configuration twice (e.g. Table 5 reuses Figure 13's TPRAC runs), and
 // the persistent run store (-store, on by default) memoizes results
 // across invocations — a warm second run executes zero new simulations
-// and reproduces byte-identical figures.
+// and reproduces byte-identical figures. The store is also how an
+// interrupted invocation resumes: each run is stored as soon as it
+// finishes, so re-running with the same arguments (SIGINT, SIGKILL or
+// OOM kill alike) executes only the runs that never reached the store.
 //
 // Grids also shard across machines: -shard i/n executes only the i-th
 // deterministic slice of the run keys and writes the results to a shard
@@ -34,7 +37,6 @@
 //	tpracsim -exp fig10|fig11|fig12|fig13|fig14|table5|rfmpb|all
 //	         [-scale quick|full] [-workers N] [-serial]
 //	         [-store DIR|URL|auto|off] [-store-budget SIZE]
-//	         [-journal DIR|auto|off]
 //	         [-shard i/n [-shardout FILE]]
 //	         [-merge FILE,FILE,...] [-csvdir DIR]
 //	         [-dispatch N [-dispatch-cmd TEMPLATE]]
@@ -47,7 +49,10 @@
 // daemon, executes them against its -store, and uploads each shard
 // result file, repeating until signaled (or until -pull-idle-exit of
 // queue silence). The daemon's lease carries the grid's experiments and
-// scale, so a pull worker needs no -exp/-scale of its own.
+// scale, so a pull worker needs no -exp/-scale of its own. -pull-token
+// defaults to $PRACSIMD_TOKEN, which the store client also sends; it
+// stays a flag because a dispatch child needs the fleet's queue token
+// while the environment carries the user's token for a remote store.
 //
 // -store-budget bounds the local store tier's disk footprint (e.g.
 // 512MB): least-recently-accessed entries are evicted in the background
@@ -60,14 +65,11 @@
 // run, and the memory profile, written at a normal exit, holds every
 // sampled allocation since start (pprof's alloc_space and alloc_objects).
 //
-// -journal makes a session crash-safe: every completed run is appended
-// to a checksummed journal as it finishes (under -dispatch, the queue
-// journals every acked item in the dispatch/ directory beside it), and
-// an interrupted invocation re-run with the same arguments resumes from
-// the journal — executing zero already-completed simulations, with or
-// without a store — instead of starting over.
-// SIGINT/SIGTERM drain and checkpoint (a second signal exits
-// immediately).
+// SIGINT/SIGTERM exit with status 130; under -dispatch the first signal
+// drains the fleet (a second exits immediately). Every run finished
+// before the signal is already in the store, children's runs included,
+// so a rerun resumes from there. With -store off nothing survives the
+// process and a rerun starts over.
 package main
 
 import (
@@ -87,7 +89,6 @@ import (
 	"time"
 
 	"pracsim/internal/exp"
-	"pracsim/internal/exp/journal"
 	"pracsim/internal/exp/service"
 	"pracsim/internal/exp/shard"
 	"pracsim/internal/exp/store"
@@ -120,10 +121,9 @@ func main() {
 	mergeArg := flag.String("merge", "", "comma-separated shard files to import before running")
 	dispatchN := flag.Int("dispatch", 0, "run the grid as N work items on an in-process job queue with N pull children, then merge their results (0 = off)")
 	dispatchCmd := flag.String("dispatch-cmd", "", "child command template run via sh -c, with {args}/{slot}/{port} placeholders (default: re-exec this binary)")
-	journalMode := flag.String("journal", "off", "crash-recovery session journal: a directory, 'auto' (user cache dir, keyed by the session's arguments) or 'off'; an interrupted invocation re-run with the same arguments resumes instead of re-simulating")
 	csvDir := flag.String("csvdir", "", "directory to write CSV files into (optional)")
 	pullURL := flag.String("pull", "", "run as a pull worker for the pracsimd experiment service at this URL (leases and executes shard work items until signaled)")
-	pullToken := flag.String("pull-token", os.Getenv("PRACSIMD_TOKEN"), "bearer token for -pull (default $PRACSIMD_TOKEN)")
+	pullToken := flag.String("pull-token", os.Getenv(store.TokenEnv), "bearer token for -pull (default $"+store.TokenEnv+")")
 	pullIdleExit := flag.Duration("pull-idle-exit", 0, "with -pull: exit cleanly after this long without leased work (0 = run until signaled)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	memProfile := flag.String("memprofile", "", "at exit, write a memory profile of every allocation since start to this file")
@@ -221,31 +221,9 @@ func main() {
 		}
 	}
 
-	if (*perCycle || *differential) && *journalMode != "off" {
-		// The validation clockings must execute every simulation; replayed
-		// journal results would silently validate nothing (same reason the
-		// store is bypassed in these modes).
-		fmt.Fprintln(os.Stderr, "tpracsim: -journal is ignored with -percycle/-differential (validation modes must execute)")
-		*journalMode = "off"
-	}
-	// The fingerprint is what makes resume safe: only an invocation
-	// asking for the same work (schema, experiments, scale budgets,
-	// workload set, shard slice) adopts this journal. Scheduling knobs
-	// (-workers, -serial) and the store never change results, so they are
-	// deliberately absent.
-	jl := resolveJournal(*journalMode, journal.Fingerprint(
-		fmt.Sprintf("schema=%d", sim.SchemaVersion),
-		"exp="+*which,
-		"scale="+*scaleName,
-		fmt.Sprintf("warmup=%d", scale.Warmup),
-		fmt.Sprintf("measured=%d", scale.Measured),
-		"workloads="+strings.Join(scale.Workloads, ","),
-		"shard="+sp.String(),
-	))
-
-	// First signal: drain and checkpoint — a running dispatch fleet is
-	// cancelled (group-killing its children) and its queue journal
-	// synced, so a re-invocation resumes. Second signal: exit immediately.
+	// First signal under -dispatch: drain — the fleet is cancelled,
+	// group-killing its children. Second signal (or any signal without
+	// a fleet): exit. Finished runs are already in the store either way.
 	dispatchCtx, cancelDispatch := context.WithCancel(context.Background())
 	defer cancelDispatch()
 	sigs := make(chan os.Signal, 2)
@@ -254,21 +232,16 @@ func main() {
 	go func() {
 		<-sigs
 		if dispatching {
-			fmt.Fprintln(os.Stderr, "tpracsim: signal received — draining fleet and checkpointing (repeat to exit immediately)")
+			fmt.Fprintln(os.Stderr, "tpracsim: signal received — draining fleet (repeat to exit immediately)")
 			cancelDispatch()
 			<-sigs
 			os.Exit(130)
 		}
-		if jl != nil {
-			jl.Sync()
-			fmt.Fprintf(os.Stderr, "tpracsim: signal received — journal checkpointed at %s; re-run with the same arguments to resume\n", jl.Path())
-		} else {
-			fmt.Fprintln(os.Stderr, "tpracsim: signal received")
-		}
+		fmt.Fprintln(os.Stderr, "tpracsim: signal received")
 		os.Exit(130)
 	}()
 
-	session := exp.NewRunnerWith(scale, exp.SessionOptions{Store: st, Shard: sp, Journal: jl})
+	session := exp.NewRunnerWith(scale, exp.SessionOptions{Store: st, Shard: sp})
 	if *mergeArg != "" {
 		// Tolerate list debris (trailing or doubled commas, stray
 		// spaces) — but an all-debris list is a mistake worth naming,
@@ -301,14 +274,13 @@ func main() {
 	}
 
 	if *dispatchN > 0 {
-		if err := runDispatch(dispatchCtx, session, st, jl, *dispatchN, *dispatchCmd, *storeBudget,
+		if err := runDispatch(dispatchCtx, session, st, *dispatchN, *dispatchCmd, *storeBudget,
 			*which, *scaleName, *workers, *serial); err != nil {
 			if errors.Is(err, service.ErrInterrupted) {
-				if jl != nil {
-					jl.Close()
-					fmt.Fprintf(os.Stderr, "tpracsim: %v — re-run with the same arguments to resume\n", err)
+				if st != nil {
+					fmt.Fprintf(os.Stderr, "tpracsim: %v — re-run with the same -store to resume: only runs the children had not stored execute again\n", err)
 				} else {
-					fmt.Fprintf(os.Stderr, "tpracsim: %v (no -journal: acked items will re-run)\n", err)
+					fmt.Fprintf(os.Stderr, "tpracsim: %v (-store off: a rerun executes every run again)\n", err)
 				}
 				os.Exit(130)
 			}
@@ -325,9 +297,6 @@ func main() {
 		}
 		fmt.Printf("(%d new simulations; session cache holds %d)\n",
 			session.Executed()-before, session.CachedRuns())
-		if jl != nil {
-			_ = jl.AppendDone(name)
-		}
 		if sp.Count > 0 {
 			// A sharded session computes only its slice of the grid;
 			// its figures are partial by design and are rendered by the
@@ -355,11 +324,6 @@ func main() {
 	// elision wins and the straggler simulations that dominated the
 	// sweep's wall-clock.
 	fmt.Println(session.TelemetryReport(5))
-	if jl != nil {
-		if err := jl.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "tpracsim: closing journal: %v\n", err)
-		}
-	}
 }
 
 // startProfiles starts the -cpuprofile CPU profile and returns the func
@@ -430,51 +394,12 @@ func runPull(url, token string, st *store.Store, workers int, idleExit time.Dura
 	}
 }
 
-// resolveJournal opens the session journal for -journal: "off" (nil),
-// "auto" (a per-fingerprint directory under the user cache dir) or an
-// explicit directory. Failures degrade to running without a journal —
-// durability is never worth failing a run that can simply execute.
-func resolveJournal(mode, fingerprint string) *journal.Journal {
-	if mode == "" || mode == "off" {
-		return nil
-	}
-	dir := mode
-	if mode == "auto" {
-		base, err := os.UserCacheDir()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tpracsim: -journal auto: %v; running without a journal\n", err)
-			return nil
-		}
-		dir = filepath.Join(base, "tpracsim", "journal", fingerprint)
-	}
-	jl, rec, err := journal.Open(filepath.Join(dir, "session.journal"), journal.Options{
-		Schema:      sim.SchemaVersion,
-		Fingerprint: fingerprint,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "tpracsim: opening journal: %v; running without a journal\n", err)
-		return nil
-	}
-	if rec.Rotated != "" {
-		fmt.Fprintf(os.Stderr, "tpracsim: journal: prior journal rotated aside: %s\n", rec.Rotated)
-	}
-	if !rec.Fresh {
-		msg := fmt.Sprintf("journal: resuming — %d record(s) replayed (%d run(s))",
-			rec.Records, rec.Runs)
-		if rec.TruncatedBytes > 0 {
-			msg += fmt.Sprintf(", %d torn-tail byte(s) truncated", rec.TruncatedBytes)
-		}
-		fmt.Println(msg)
-	}
-	return jl
-}
-
 // runDispatch runs the selected experiments on an in-process job queue
 // with n pull children and merges the acked shard files into the
 // session, which then assembles figures from fully-warm caches. Errors
 // return (rather than exiting) so the deferred work-directory cleanup
 // runs on failure paths too.
-func runDispatch(ctx context.Context, session *exp.Runner, st *store.Store, jl *journal.Journal,
+func runDispatch(ctx context.Context, session *exp.Runner, st *store.Store,
 	n int, template, storeBudget, which, scaleName string, workers int, serial bool) error {
 	// A local fleet (no template) shares this machine's cores, so by
 	// default each child gets an equal slice instead of all inheriting
@@ -501,18 +426,13 @@ func runDispatch(ctx context.Context, session *exp.Runner, st *store.Store, jl *
 	if storeBudget != "" {
 		argv = append(argv, "-store-budget", storeBudget)
 	}
-	// With a journal, the queue's work directory sits beside it and
-	// survives this process, so a rerun adopts the acked items. Without
-	// one, a throwaway temp directory.
-	var dir string
-	if jl != nil {
-		dir = filepath.Join(filepath.Dir(jl.Path()), "dispatch")
-	} else {
-		if dir, err = os.MkdirTemp("", "tpracsim-dispatch-"); err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
+	// The queue's work directory is per-run scratch; a rerun resumes
+	// from the children's store, not from it.
+	dir, err := os.MkdirTemp("", "tpracsim-dispatch-")
+	if err != nil {
+		return err
 	}
+	defer os.RemoveAll(dir)
 	_, files, err := service.RunFleet(ctx, service.FleetOptions{
 		Exps: []string{which}, Scale: scaleName, Shards: n,
 		Dir: dir, Argv: argv, Template: template, Log: os.Stdout,

@@ -1,11 +1,10 @@
-// Package journal is the durable spine of a session: an append-only,
-// fsync-batched, per-record-checksummed event log that records what a
-// session has already accomplished — the session open (schema and
-// argument fingerprint), every completed run (key and result payload),
-// export and experiment completion, and the experiment-service queue's
-// jobs, leases and acks — so a driver process that is SIGKILLed, OOM-killed or
-// preempted mid-grid resumes from the journal with zero lost work
-// instead of starting over.
+// Package journal is the durable spine of the pracsimd job queue: an
+// append-only, fsync-batched, per-record-checksummed event log of the
+// queue's open (schema and argument fingerprint), its jobs, lease grants
+// and acks, so a daemon that is SIGKILLed, OOM-killed or preempted
+// mid-grid restores its queue with zero lost work instead of starting
+// over. Run records (key and result payload) are accepted too; recovery
+// validates them as frames but replays no state from them.
 //
 // The journal is strictly a redo log, never a correctness dependency: a
 // lost, truncated or corrupt journal costs re-execution, nothing else.
@@ -29,8 +28,8 @@
 // Appends are batched for durability: records are written immediately
 // but fsync'd every SyncEvery records or SyncInterval, whichever comes
 // first, and checkpoints the caller cannot afford to lose (a submitted
-// job, an acked work item) sync before returning. A record that misses its fsync
-// before a crash is simply re-executed on resume.
+// job, an acked work item) sync before returning. A record that misses
+// its fsync before a crash is simply re-executed on resume.
 package journal
 
 import (
@@ -66,13 +65,11 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Record types.
 const (
-	typeOpen   = "open"
-	typeRun    = "run"
-	typeExport = "export"
-	typeDone   = "done"
-	typeJob    = "job"
-	typeLease  = "lease"
-	typeAck    = "ack"
+	typeOpen  = "open"
+	typeRun   = "run"
+	typeJob   = "job"
+	typeLease = "lease"
+	typeAck   = "ack"
 )
 
 // record is one journal entry. A single struct covers every type; JSON
@@ -84,11 +81,10 @@ type record struct {
 	Key     string   `json:"key,omitempty"`    // run
 	Payload []byte   `json:"p,omitempty"`      // run, job (grid spec)
 	Shard   string   `json:"shard,omitempty"`  // lease, ack ("i/n")
-	File    string   `json:"file,omitempty"`   // export, ack
-	Runs    int      `json:"runs,omitempty"`   // export, job, ack
+	File    string   `json:"file,omitempty"`   // ack
+	Runs    int      `json:"runs,omitempty"`   // job, ack
 	Items   []string `json:"items,omitempty"`  // job (submitted work items, "i/n")
 	Warm    int      `json:"warm,omitempty"`   // job (run keys warm at submission)
-	Name    string   `json:"name,omitempty"`   // done (experiment name)
 	Job     string   `json:"job,omitempty"`    // job, lease, ack (job id)
 	Token   string   `json:"token,omitempty"`  // job (tenant identity)
 	Prio    int      `json:"prio,omitempty"`   // job
@@ -161,8 +157,6 @@ type Options struct {
 type Recovery struct {
 	// Records counts valid records replayed (the open record included).
 	Records int
-	// Runs counts replayed run records.
-	Runs int
 	// TruncatedBytes is the torn tail Open cut (0 for a clean file).
 	TruncatedBytes int64
 	// Rotated names why a prior journal was moved aside ("" when the
@@ -170,8 +164,6 @@ type Recovery struct {
 	Rotated string
 	// Fresh reports that no prior state was replayed.
 	Fresh bool
-	// Done lists replayed completion markers (experiment names).
-	Done []string
 	// Jobs lists replayed experiment-service job events in append order
 	// (submissions and terminal transitions alike; the queue folds them).
 	Jobs []JobRecord
@@ -181,16 +173,12 @@ type Recovery struct {
 	Acks []AckRecord
 }
 
-// Stats snapshots a journal's traffic counters — what session telemetry
-// and worker summaries surface.
+// Stats snapshots a journal's traffic counters.
 type Stats struct {
 	// Appended counts records appended by this process.
 	Appended int64 `json:"appended"`
 	// Replayed counts records recovered from the prior journal at open.
 	Replayed int64 `json:"replayed"`
-	// ResumeHits counts runs this process served from the recovered
-	// journal instead of executing.
-	ResumeHits int64 `json:"resume_hits"`
 	// TruncatedBytes is the torn tail cut at open.
 	TruncatedBytes int64 `json:"truncated_bytes,omitempty"`
 	// Syncs counts fsync batches.
@@ -203,24 +191,7 @@ type Stats struct {
 	Dropped int64 `json:"dropped,omitempty"`
 }
 
-// Report renders the one-line journal summary the CLIs print.
-func (st Stats) Report(path string) string {
-	out := fmt.Sprintf("journal: %d replayed (%d resume hits), %d appended",
-		st.Replayed, st.ResumeHits, st.Appended)
-	if st.TruncatedBytes > 0 {
-		out += fmt.Sprintf(", %d torn-tail bytes truncated", st.TruncatedBytes)
-	}
-	if st.AppendErrors > 0 {
-		out += fmt.Sprintf(", %d append errors", st.AppendErrors)
-	}
-	if st.Dropped > 0 {
-		out += fmt.Sprintf(", %d dropped", st.Dropped)
-	}
-	return out + fmt.Sprintf(" (%s)", path)
-}
-
-// Journal is an open session journal. All methods are safe for
-// concurrent use.
+// Journal is an open journal. All methods are safe for concurrent use.
 type Journal struct {
 	path string
 	opts Options
@@ -233,10 +204,7 @@ type Journal struct {
 	broken  bool // a torn write could not be repaired; appends drop
 	closed  bool
 
-	// Recovered state, immutable after Open.
-	runs map[string][]byte
-
-	appended, replayed, resumeHits, truncated, syncs, appendErrs, dropped int64
+	appended, replayed, truncated, syncs, appendErrs, dropped int64
 
 	statsMu sync.Mutex
 }
@@ -313,12 +281,7 @@ func adopt(f *os.File, path string, opts Options, rec *Recovery) (*Journal, stri
 	if err != nil {
 		return nil, "", fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{
-		path: path,
-		opts: opts,
-		f:    f,
-		runs: make(map[string][]byte),
-	}
+	j := &Journal{path: path, opts: opts, f: f}
 
 	if fi.Size() == 0 {
 		// Fresh file: stamp the header and open record now, durably —
@@ -347,7 +310,7 @@ func adopt(f *os.File, path string, opts Options, rec *Recovery) (*Journal, stri
 	off := int64(len(magic))
 	sawOpen := false
 	for {
-		r, frameLen, ok := readFrame(f)
+		r, frameLen, ok := readFrame(f, fi.Size()-off)
 		if !ok {
 			break
 		}
@@ -366,11 +329,6 @@ func adopt(f *os.File, path string, opts Options, rec *Recovery) (*Journal, stri
 		off += frameLen
 		rec.Records++
 		switch r.Type {
-		case typeRun:
-			j.runs[r.Key] = r.Payload
-			rec.Runs++
-		case typeDone:
-			rec.Done = append(rec.Done, r.Name)
 		case typeJob:
 			rec.Jobs = append(rec.Jobs, JobRecord{
 				ID: r.Job, Token: r.Token, Priority: r.Prio,
@@ -404,16 +362,17 @@ func adopt(f *os.File, path string, opts Options, rec *Recovery) (*Journal, stri
 	return j, "", nil
 }
 
-// readFrame reads one frame at the reader's position; ok is false at a
-// clean EOF or at the first sign of tearing or corruption (short frame,
-// absurd length, checksum mismatch, undecodable record).
-func readFrame(r io.Reader) (rec record, frameLen int64, ok bool) {
+// readFrame reads one frame at the reader's position, with remaining
+// bytes left in the file; ok is false at a clean EOF or at the first
+// sign of tearing or corruption (short frame, a length beyond maxRecord
+// or the file's end, checksum mismatch, undecodable record).
+func readFrame(r io.Reader, remaining int64) (rec record, frameLen int64, ok bool) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return record{}, 0, false
 	}
 	n := binary.LittleEndian.Uint32(lenBuf[:])
-	if n == 0 || n > maxRecord {
+	if n == 0 || n > maxRecord || int64(n)+8 > remaining {
 		return record{}, 0, false
 	}
 	buf := make([]byte, int(n)+4)
@@ -443,39 +402,11 @@ func encodeFrame(r record) ([]byte, error) {
 	return frame, nil
 }
 
-// Path reports the journal file's location.
-func (j *Journal) Path() string { return j.path }
-
-// Run returns the recovered result payload for a run key, counting a
-// resume hit — the session's crash-safe warm layer, independent of any
-// store.
-func (j *Journal) Run(key string) ([]byte, bool) {
-	data, ok := j.runs[key]
-	if ok {
-		j.statsMu.Lock()
-		j.resumeHits++
-		j.statsMu.Unlock()
-	}
-	return data, ok
-}
-
-// RecoveredRuns reports how many run records the journal replayed.
-func (j *Journal) RecoveredRuns() int { return len(j.runs) }
-
-// AppendRun journals one completed run. Best-effort like every append:
-// an error means this run re-executes after a crash, nothing more.
+// AppendRun journals one completed run (key and result payload).
+// Best-effort like every append; recovery validates run records as
+// frames but replays no state from them.
 func (j *Journal) AppendRun(key string, payload []byte) error {
 	return j.append(record{Type: typeRun, Key: key, Payload: payload})
-}
-
-// AppendExport journals a written shard-export file.
-func (j *Journal) AppendExport(path string, runs int) error {
-	return j.append(record{Type: typeExport, File: path, Runs: runs})
-}
-
-// AppendDone journals a completed experiment (or session phase).
-func (j *Journal) AppendDone(name string) error {
-	return j.append(record{Type: typeDone, Name: name})
 }
 
 // AppendJob journals a job submission or terminal transition, then
@@ -673,7 +604,6 @@ func (j *Journal) Stats() Stats {
 	return Stats{
 		Appended:       j.appended,
 		Replayed:       j.replayed,
-		ResumeHits:     j.resumeHits,
 		TruncatedBytes: j.truncated,
 		Syncs:          j.syncs,
 		AppendErrors:   j.appendErrs,

@@ -7,7 +7,6 @@ import (
 
 	"pracsim/internal/analysis"
 	"pracsim/internal/energy"
-	"pracsim/internal/exp/journal"
 	"pracsim/internal/exp/pool"
 	"pracsim/internal/exp/shard"
 	"pracsim/internal/exp/store"
@@ -178,7 +177,6 @@ type runner struct {
 	tlog  telemetryLog
 
 	store     *store.Store
-	journal   *journal.Journal
 	shardSpec shard.Spec
 	executed  atomic.Int64
 
@@ -198,7 +196,6 @@ func newRunnerWith(scale Scale, opts SessionOptions) *runner {
 		scale:     scale,
 		pool:      pool.New(workers),
 		store:     opts.Store,
-		journal:   opts.Journal,
 		shardSpec: opts.Shard,
 	}
 }
@@ -217,21 +214,9 @@ func (r *runner) run(v Variant, workload string) (sim.RunResult, error) {
 		// the result would silently validate nothing, so those modes
 		// bypass the persistent layer entirely.
 		warmable := !r.scale.Differential && !r.scale.PerCycle
-		if warmable && r.journal != nil {
-			// The crash-recovery layer: a run the interrupted invocation
-			// already completed is served from its journal, store or no
-			// store. No re-append — the record is already durable.
-			if data, ok := r.journal.Run(skey); ok {
-				if res, err := sim.DecodeResult(data); err == nil {
-					r.recordOwned(skey, data)
-					return res, nil
-				}
-			}
-		}
 		if warmable && r.store != nil {
 			if data, ok := r.store.Get(skey); ok {
 				if res, err := sim.DecodeResult(data); err == nil {
-					r.journalRun(skey, data)
 					r.recordOwned(skey, data)
 					return res, nil
 				}
@@ -245,7 +230,6 @@ func (r *runner) run(v Variant, workload string) (sim.RunResult, error) {
 			r.mu.Unlock()
 			if imported {
 				if res, err := sim.DecodeResult(data); err == nil {
-					r.journalRun(skey, data)
 					r.recordOwned(skey, data)
 					return res, nil
 				}
@@ -277,31 +261,20 @@ func (r *runner) run(v Variant, workload string) (sim.RunResult, error) {
 		}
 		r.executed.Add(1)
 		r.tlog.add(RunTelemetry{Variant: v.Name, Workload: workload, T: res.Telemetry})
-		if r.store != nil || r.journal != nil || r.shardSpec.Count > 0 {
+		if r.store != nil || r.shardSpec.Count > 0 {
 			if data, eerr := sim.EncodeResult(res); eerr == nil {
 				if warmable && r.store != nil {
 					// Best-effort: a failed write costs a future
-					// recompute, never correctness.
+					// recompute, never correctness. The put lands as
+					// soon as the run finishes, which is what lets an
+					// interrupted session resume from the store.
 					_ = r.store.Put(skey, data)
-				}
-				if warmable {
-					r.journalRun(skey, data)
 				}
 				r.recordOwned(skey, data)
 			}
 		}
 		return res, nil
 	})
-}
-
-// journalRun appends a resolved run to the session journal. Every
-// source counts — executed, store hit, imported seed — because the
-// journal must stand alone on resume: the store may be gone, degraded,
-// or turned off next time. Best-effort, like every durability write.
-func (r *runner) journalRun(skey string, data []byte) {
-	if r.journal != nil {
-		_ = r.journal.AppendRun(skey, data)
-	}
 }
 
 // recordOwned collects a result for ExportShard. Store and seed hits are

@@ -24,8 +24,7 @@ import (
 )
 
 // fleetTenant owns a fleet's job in its queue. Children authenticate
-// with a random per-run bearer token; the tenant is fixed so a restarted
-// driver finds the job its predecessor submitted.
+// with a random per-run bearer token.
 const fleetTenant = "dispatch"
 
 // fleetLeaseTTL is short so an item a killed child held re-leases within
@@ -40,8 +39,8 @@ const fleetRespawns = 3
 const stderrTailLines = 40
 
 // ErrInterrupted reports a fleet cancelled through RunFleet's context.
-// Acked items are journaled when the work directory persists; a rerun
-// over it adopts them.
+// The fleet's queue does not survive it: a rerun resumes through the
+// children's store, which holds every run a child finished.
 var ErrInterrupted = errors.New("dispatch: interrupted")
 
 // FleetOptions configures RunFleet.
@@ -54,8 +53,10 @@ type FleetOptions struct {
 	Scales map[string]exp.Scale
 	// Shards is N: the job's work items and the number of pull children.
 	Shards int
-	// Dir is the queue's work directory (journal, store, acked shard
-	// files). Required. A directory reused by a rerun resumes its job.
+	// Dir is the queue's per-run scratch directory (queue journal, dedup
+	// store, acked shard files). Required; the caller removes it after
+	// the run. A rerun gets a fresh one: resume comes from the store the
+	// children write (their -store in Argv), never from Dir.
 	Dir string
 	// Argv is the child command without the pull flags; RunFleet appends
 	// `-pull URL -pull-token T`.
@@ -85,11 +86,10 @@ type fleet struct {
 }
 
 // RunFleet runs a grid on an in-process pracsimd queue with N pull
-// children: it serves the queue on loopback, submits the grid (or adopts
-// the job a previous run over the same Dir left), spawns the children,
-// respawns those that exit early, and waits for the job to finish. It
-// returns the job's final status and every acked shard file at the
-// grid's scale, for the caller to merge. Children are killed on return.
+// children: it serves the queue on loopback, submits the grid, spawns
+// the children, respawns those that exit early, and waits for the job
+// to finish. It returns the job's final status and its acked shard
+// files, for the caller to merge. Children are killed on return.
 func RunFleet(ctx context.Context, opts FleetOptions) (JobStatus, []string, error) {
 	if opts.Shards < 1 {
 		return JobStatus{}, nil, fmt.Errorf("dispatch: need at least 1 child, got %d", opts.Shards)
@@ -132,11 +132,8 @@ func RunFleet(ctx context.Context, opts FleetOptions) (JobStatus, []string, erro
 	url := "http://127.0.0.1:" + strconv.Itoa(f.port)
 	f.argv = append(slices.Clone(opts.Argv), "-pull", url, "-pull-token", token)
 
-	spec := GridSpec{Exps: opts.Exps, Scale: opts.Scale, Shards: opts.Shards}
-	st, ok := adoptable(svc, spec)
-	if ok {
-		f.log.Printf("dispatch: job %s adopted from journal (%d/%d item(s) acked, %s)", st.ID, st.Acked, st.Items, st.State)
-	} else if st, err = svc.Submit(fleetTenant, spec); err != nil {
+	st, err := svc.Submit(fleetTenant, GridSpec{Exps: opts.Exps, Scale: opts.Scale, Shards: opts.Shards})
+	if err != nil {
 		return JobStatus{}, nil, err
 	}
 	events, unsubscribe, _ := svc.queue.Subscribe(st.ID, fleetTenant)
@@ -148,15 +145,13 @@ func RunFleet(ctx context.Context, opts FleetOptions) (JobStatus, []string, erro
 		killChildren()
 		wg.Wait()
 	}()
-	if !terminal(st.State) && st.State != StateFinalizing {
-		f.log.Printf("dispatch: %d pull child(ren) on %s", opts.Shards, url)
-		for slot := 0; slot < opts.Shards; slot++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				f.runSlot(childCtx, slot)
-			}()
-		}
+	f.log.Printf("dispatch: %d pull child(ren) on %s", opts.Shards, url)
+	for slot := 0; slot < opts.Shards; slot++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f.runSlot(childCtx, slot)
+		}()
 	}
 
 	start, deadSlots := time.Now(), 0
@@ -180,37 +175,12 @@ func RunFleet(ctx context.Context, opts FleetOptions) (JobStatus, []string, erro
 			if final.State != StateDone {
 				return final, nil, fmt.Errorf("dispatch: job %s %s: %s\nlast child stderr:\n%s", final.ID, final.State, final.Error, f.tail())
 			}
-			// Earlier jobs at this scale (a failed run's, say) warmed the
-			// queue's store, so this one skipped their slices; their
-			// files complete it.
-			var files []string
-			for _, j := range svc.queue.List(fleetTenant) {
-				if j.Scale == final.Scale {
-					files = append(files, svc.queue.ackedFiles(j.ID)...)
-				}
-			}
+			files := svc.queue.ackedFiles(final.ID)
 			f.log.Printf("dispatch: job %s done in %.1fs: %d/%d item(s) acked, %d run(s) executed by children, %d at finalize",
 				final.ID, time.Since(start).Seconds(), final.Acked, final.Items, final.Executed, final.FinalizeExecuted)
 			return final, files, nil
 		}
 	}
-}
-
-// adoptable finds the latest restored fleet job for the same grid that
-// has not failed or been canceled.
-func adoptable(svc *Server, spec GridSpec) (JobStatus, bool) {
-	exps, err := exp.ExpandExperiments(spec.Exps)
-	if err != nil {
-		return JobStatus{}, false
-	}
-	jobs := svc.queue.List(fleetTenant)
-	for i := len(jobs) - 1; i >= 0; i-- {
-		j := jobs[i]
-		if j.Scale == spec.Scale && slices.Equal(j.Exps, exps) && j.State != StateFailed && j.State != StateCanceled {
-			return j, true
-		}
-	}
-	return JobStatus{}, false
 }
 
 // runSlot keeps one child running until ctx ends, respawning it up to

@@ -4,99 +4,84 @@ package service
 
 import (
 	"bytes"
-	"context"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"testing"
+
+	"pracsim/internal/exp/store"
 )
 
 // killDriverAfterAcks runs this test binary as a real dispatch driver
-// over dir and SIGKILLs it once the queue journal holds acks acks — no
-// drain, no checkpoint call. Its children die with it (the kernel's
+// over a fresh work directory, its children on storeDir, and SIGKILLs it
+// once its queue journal holds one ack of an item that executed runs —
+// no drain, no signal handler. Its children die with it (the kernel's
 // parent-death signal). It returns the driver's output.
-func killDriverAfterAcks(t *testing.T, dir, gate string, acks int) string {
+func killDriverAfterAcks(t *testing.T, storeDir, gate string) string {
 	t.Helper()
+	dir := t.TempDir()
 	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), driverEnv+"="+dir, templateEnv+"="+gatedTemplate(gate), gateEnv+"="+gate)
+	cmd.Env = append(os.Environ(),
+		driverEnv+"="+dir+string(filepath.ListSeparator)+storeDir,
+		templateEnv+"="+gatedTemplate(gate), gateEnv+"="+gate)
 	var out bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &out, &out
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitAcks(t, dir, acks)
+	waitExecAcks(t, dir, 1)
 	cmd.Process.Signal(syscall.SIGKILL)
 	cmd.Wait()
 	return out.String()
 }
 
-// resumeKilledDriver reruns the killed driver's fleet in process with the
-// gate open and pins the resume contract: the journaled items are
-// adopted, and the finished job is byte-identical to a serial run with
-// every item acked exactly once across all driver lifetimes.
-func resumeKilledDriver(t *testing.T, dir, gate string, acked int, driverLogs ...string) {
-	t.Helper()
-	if err := os.WriteFile(gate, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv(gateEnv, gate)
-	st, files, logs, err := runFleet(t, context.Background(), dir, gatedTemplate(gate))
-	if err != nil {
-		t.Fatalf("resumed fleet: %v\nlog:\n%s\ndriver output:\n%s", err, logs, strings.Join(driverLogs, "\n"))
-	}
-	if want := "adopted from journal (" + string(rune('0'+acked)) + "/3 item(s) acked"; !strings.Contains(logs, want) {
-		t.Errorf("resumed fleet log missing %q:\n%s", want, logs)
-	}
-	checkFleetResult(t, dir, st, files, append(driverLogs, logs)...)
-
-	// A third run finds the job done: no child runs, nothing executes.
-	st3, files3, logs3, err := runFleet(t, context.Background(), dir, gatedTemplate(gate))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(logs3, "launch") {
-		t.Errorf("third run spawned children:\n%s", logs3)
-	}
-	checkFleetResult(t, dir, st3, files3, append(driverLogs, logs, logs3)...)
-}
-
 // TestFleetDriverSIGKILLResumeBitIdentical: a real driver is SIGKILLed
-// after its first acked item, and a rerun over the same directory
-// adopts that item and finishes the grid byte-identically.
+// after its first executed item; a rerun over the same store executes
+// only the runs that were not stored and finishes byte-identically.
 func TestFleetDriverSIGKILLResumeBitIdentical(t *testing.T) {
-	dir, gate := t.TempDir(), filepath.Join(t.TempDir(), "gate")
-	out := killDriverAfterAcks(t, dir, gate, 1)
-	resumeKilledDriver(t, dir, gate, 1, out)
+	storeDir, gate := t.TempDir(), filepath.Join(t.TempDir(), "gate")
+	out := killDriverAfterAcks(t, storeDir, gate)
+	resumeFromStore(t, storeDir, gate, out)
 }
 
-// TestFleetDriverSIGKILLTornJournalResume: the kill also tears the queue
-// journal mid-frame; recovery truncates the tear and the resume is
-// still byte-identical with no acked item re-executed.
-func TestFleetDriverSIGKILLTornJournalResume(t *testing.T) {
-	dir, gate := t.TempDir(), filepath.Join(t.TempDir(), "gate")
-	out := killDriverAfterAcks(t, dir, gate, 1)
-	f, err := os.OpenFile(filepath.Join(dir, "queue.journal"), os.O_WRONLY|os.O_APPEND, 0)
+// TestFleetDriverSIGKILLTornStoreResume: the kill also leaves torn
+// store writes behind — the half-written temp file of a put that never
+// reached its rename, and an entry cut short the way an unsynced put can
+// be after a machine crash. The rerun neither counts nor serves either:
+// it re-executes the torn entry's run along with the unstored ones, and
+// the result stays byte-identical.
+func TestFleetDriverSIGKILLTornStoreResume(t *testing.T) {
+	storeDir, gate := t.TempDir(), filepath.Join(t.TempDir(), "gate")
+	out := killDriverAfterAcks(t, storeDir, gate)
+	frame := store.EncodeFrame("pracsim/run/torn", bytes.Repeat([]byte("x"), 256))
+	if err := os.WriteFile(filepath.Join(storeDir, "put-torn.tmp"), frame[:len(frame)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entries, _ := filepath.Glob(filepath.Join(storeDir, "*.run"))
+	if len(entries) == 0 {
+		t.Fatalf("killed driver stored nothing:\n%s", out)
+	}
+	fi, err := os.Stat(entries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{120, 0, 0, 0, '{', '"', 't', '"', ':'}); err != nil {
+	if err := os.Truncate(entries[0], fi.Size()/2); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-	resumeKilledDriver(t, dir, gate, 1, out)
+	resumeFromStore(t, storeDir, gate, out)
 }
 
-// TestFleetDriverKillStormResumesBitIdentical: the driver is SIGKILLed
-// twice, after one and then two acked items; each restart adopts what
-// the last one acked, and the final resume is byte-identical.
+// TestFleetDriverKillStormResumesBitIdentical: two drivers in a row are
+// SIGKILLed, each after executing one more item on top of what the store
+// already held; the final rerun executes only what is still unstored.
 func TestFleetDriverKillStormResumesBitIdentical(t *testing.T) {
-	dir, gate := t.TempDir(), filepath.Join(t.TempDir(), "gate")
-	out1 := killDriverAfterAcks(t, dir, gate, 1)
-	out2 := killDriverAfterAcks(t, dir, gate, 2)
-	if !strings.Contains(out2, "adopted from journal (1/3 item(s) acked") {
-		t.Errorf("second driver did not adopt the first one's item:\n%s", out2)
+	storeDir, gate := t.TempDir(), filepath.Join(t.TempDir(), "gate")
+	out1 := killDriverAfterAcks(t, storeDir, gate)
+	first := storedRuns(t, storeDir)
+	out2 := killDriverAfterAcks(t, storeDir, gate)
+	if second := storedRuns(t, storeDir); second <= first {
+		t.Errorf("second driver stored nothing new (%d -> %d runs):\n%s", first, second, out2)
 	}
-	resumeKilledDriver(t, dir, gate, 2, out1, out2)
+	resumeFromStore(t, storeDir, gate, out1, out2)
 }

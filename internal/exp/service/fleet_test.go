@@ -27,14 +27,15 @@ import (
 
 // The fleet tests re-exec this test binary: as a pull child (childEnv)
 // running RunWorker at the tiny scale, or as a whole dispatch driver
-// (driverEnv names its work directory) that a test can SIGKILL.
+// (driverEnv lists its work directory and its children's store) that a
+// test can SIGKILL.
 const (
 	childEnv    = "PRACSIM_FLEET_TEST_CHILD"
 	driverEnv   = "PRACSIM_FLEET_TEST_DRIVER"
 	templateEnv = "PRACSIM_FLEET_TEST_TEMPLATE"
 	// gateEnv names a file: until it exists, a child stalls right after
-	// delivering its first item, so a test can stop the fleet with work
-	// reliably left over.
+	// delivering an item it executed runs for, so a test can stop the
+	// fleet with work reliably left over.
 	gateEnv = "PRACSIM_FLEET_TEST_GATE"
 )
 
@@ -42,8 +43,8 @@ func TestMain(m *testing.M) {
 	if os.Getenv(childEnv) == "1" {
 		os.Exit(fleetChildMain())
 	}
-	if dir := os.Getenv(driverEnv); dir != "" {
-		os.Exit(fleetDriverMain(dir))
+	if dirs := filepath.SplitList(os.Getenv(driverEnv)); len(dirs) == 2 {
+		os.Exit(fleetDriverMain(dirs[0], dirs[1]))
 	}
 	os.Exit(m.Run())
 }
@@ -78,13 +79,14 @@ func fleetChildMain() int {
 	return 0
 }
 
-// gateWriter passes worker log lines to stderr and blocks on a
-// "delivered" line until its gate file exists.
+// gateWriter passes worker log lines to stderr and blocks on the
+// "delivered" line of an item that executed runs until its gate file
+// exists. Items served wholly from the store pass straight through.
 type gateWriter string
 
 func (g gateWriter) Write(p []byte) (int, error) {
 	os.Stderr.Write(p)
-	if bytes.Contains(p, []byte("delivered")) {
+	if bytes.Contains(p, []byte("delivered")) && !bytes.Contains(p, []byte(", 0 executed)")) {
 		for {
 			if _, err := os.Stat(string(g)); err == nil {
 				break
@@ -95,11 +97,12 @@ func (g gateWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// fleetDriverMain runs one dispatch fleet over dir, the way tpracsim
-// -dispatch 3 -journal does, logging to stdout.
-func fleetDriverMain(dir string) int {
+// fleetDriverMain runs one dispatch fleet over work dir with its
+// children on storeDir, the way tpracsim -dispatch 3 -store DIR does,
+// logging to stdout.
+func fleetDriverMain(dir, storeDir string) int {
 	os.Setenv(childEnv, "1")
-	_, _, err := RunFleet(context.Background(), fleetOpts(dir, os.Getenv(templateEnv), os.Stdout))
+	_, _, err := RunFleet(context.Background(), fleetOpts(dir, storeDir, os.Getenv(templateEnv), os.Stdout))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "driver:", err)
 		return 1
@@ -107,11 +110,16 @@ func fleetDriverMain(dir string) int {
 	return 0
 }
 
-// fleetOpts is the tiny fig12 grid on 3 children re-execing this binary.
-func fleetOpts(dir, template string, logw io.Writer) FleetOptions {
+// fleetOpts is the tiny fig12 grid on 3 children re-execing this binary,
+// with their run store at storeDir ("" = store off).
+func fleetOpts(dir, storeDir, template string, logw io.Writer) FleetOptions {
+	argv := []string{os.Args[0]}
+	if storeDir != "" {
+		argv = append(argv, "-store", storeDir)
+	}
 	return FleetOptions{
 		Exps: []string{"fig12"}, Scale: "tiny", Scales: testScales(), Shards: 3,
-		Dir: dir, Argv: []string{os.Args[0]}, Template: template, Log: logw,
+		Dir: dir, Argv: argv, Template: template, Log: logw,
 	}
 }
 
@@ -134,25 +142,25 @@ func (s *syncBuffer) String() string {
 }
 
 // runFleet runs the tiny grid as an in-process driver with this binary
-// as the children.
-func runFleet(t *testing.T, ctx context.Context, dir, template string) (JobStatus, []string, string, error) {
+// as the children, their store at storeDir ("" = off).
+func runFleet(t *testing.T, ctx context.Context, dir, storeDir, template string) (JobStatus, []string, string, error) {
 	t.Helper()
 	t.Setenv(childEnv, "1")
 	var buf syncBuffer
-	st, files, err := RunFleet(ctx, fleetOpts(dir, template, &buf))
+	st, files, err := RunFleet(ctx, fleetOpts(dir, storeDir, template, &buf))
 	return st, files, buf.String(), err
 }
 
 var ackedLine = regexp.MustCompile(`job (j\d+) item (\d+/\d+) acked`)
 
 // checkFleetResult pins the fleet contract on a finished job: the queue
-// journal under dir holds exactly one ack per item and the driver logs
-// show no item acked twice (so no acked item was re-executed), children
-// executed each run key exactly once, and the merged shard files render
+// journal under dir holds exactly one ack per item and the driver log
+// shows no item acked twice (so no acked item was re-executed), children
+// executed exactly wantExec runs, and the merged shard files render
 // Fig12 byte-identical to a serial run without executing anything.
-func checkFleetResult(t *testing.T, dir string, st JobStatus, files []string, logs ...string) {
+func checkFleetResult(t *testing.T, dir string, st JobStatus, files []string, wantExec int64, logs string) {
 	t.Helper()
-	wantCSV, wantExec := reference(t)
+	wantCSV, _ := reference(t)
 	if st.State != StateDone || st.Acked != st.Items {
 		t.Fatalf("job %+v, want done with every item acked", st)
 	}
@@ -165,11 +173,9 @@ func checkFleetResult(t *testing.T, dir string, st JobStatus, files []string, lo
 		}
 	}
 	logged := map[string]int{}
-	for _, l := range logs {
-		for _, m := range ackedLine.FindAllStringSubmatch(l, -1) {
-			if m[1] == st.ID {
-				logged[m[2]]++
-			}
+	for _, m := range ackedLine.FindAllStringSubmatch(logs, -1) {
+		if m[1] == st.ID {
+			logged[m[2]]++
 		}
 	}
 	if len(journaled) != st.Items {
@@ -204,7 +210,7 @@ func checkFleetResult(t *testing.T, dir string, st JobStatus, files []string, lo
 // clean run costs no respawn.
 func TestFleetReexecPool(t *testing.T) {
 	dir := t.TempDir()
-	st, files, logs, err := runFleet(t, context.Background(), dir, "")
+	st, files, logs, err := runFleet(t, context.Background(), dir, "", "")
 	if err != nil {
 		t.Fatalf("fleet: %v\nlog:\n%s", err, logs)
 	}
@@ -214,7 +220,7 @@ func TestFleetReexecPool(t *testing.T) {
 	if n := strings.Count(logs, "launch 1"); n != 3 {
 		t.Errorf("fleet launched %d child(ren), want 3\nlog:\n%s", n, logs)
 	}
-	checkFleetResult(t, dir, st, files, logs)
+	checkFleetResult(t, dir, st, files, gridRuns(t), logs)
 }
 
 // TestFleetChildKilledRespawnsAndMergesBitIdentical: slot 1's first
@@ -224,14 +230,14 @@ func TestFleetChildKilledRespawnsAndMergesBitIdentical(t *testing.T) {
 	mark := filepath.Join(t.TempDir(), "killed-once")
 	tmpl := fmt.Sprintf("if [ {slot} = 1 ] && [ ! -e %s ]; then : > %s; echo 'child lost' >&2; kill -KILL $$; fi; exec {args}", mark, mark)
 	dir := t.TempDir()
-	st, files, logs, err := runFleet(t, context.Background(), dir, tmpl)
+	st, files, logs, err := runFleet(t, context.Background(), dir, "", tmpl)
 	if err != nil {
 		t.Fatalf("fleet: %v\nlog:\n%s", err, logs)
 	}
 	if !strings.Contains(logs, "slot 1 child exited") || !strings.Contains(logs, "respawn 1/3") {
 		t.Errorf("respawn not visible in the fleet log:\n%s", logs)
 	}
-	checkFleetResult(t, dir, st, files, logs)
+	checkFleetResult(t, dir, st, files, gridRuns(t), logs)
 }
 
 // TestFleetBudgetExhaustedFailsWithStderr: when every slot's child keeps
@@ -239,7 +245,7 @@ func TestFleetChildKilledRespawnsAndMergesBitIdentical(t *testing.T) {
 // child's stderr.
 func TestFleetBudgetExhaustedFailsWithStderr(t *testing.T) {
 	tmpl := "echo 'trace catalog missing on this host' >&2; exit 7"
-	_, _, logs, err := runFleet(t, context.Background(), t.TempDir(), tmpl)
+	_, _, logs, err := runFleet(t, context.Background(), t.TempDir(), "", tmpl)
 	if err == nil {
 		t.Fatalf("a fleet whose children all die succeeded\nlog:\n%s", logs)
 	}
@@ -256,7 +262,7 @@ func TestFleetBudgetExhaustedFailsWithStderr(t *testing.T) {
 func TestFleetOneSlotExhaustedOthersFinish(t *testing.T) {
 	tmpl := "if [ {slot} = 1 ]; then echo 'trace catalog missing on this host' >&2; exit 7; fi; exec {args}"
 	dir := t.TempDir()
-	st, files, logs, err := runFleet(t, context.Background(), dir, tmpl)
+	st, files, logs, err := runFleet(t, context.Background(), dir, "", tmpl)
 	if err != nil {
 		t.Fatalf("fleet with one dead slot: %v\nlog:\n%s", err, logs)
 	}
@@ -265,7 +271,7 @@ func TestFleetOneSlotExhaustedOthersFinish(t *testing.T) {
 			t.Errorf("fleet log missing %q:\n%s", want, logs)
 		}
 	}
-	checkFleetResult(t, dir, st, files, logs)
+	checkFleetResult(t, dir, st, files, gridRuns(t), logs)
 }
 
 // TestFleetStalledChildDoesNotBlockAndIsReaped: a child that stalls
@@ -275,11 +281,11 @@ func TestFleetStalledChildDoesNotBlockAndIsReaped(t *testing.T) {
 	pidFile := filepath.Join(t.TempDir(), "stalled.pid")
 	tmpl := fmt.Sprintf("if [ {slot} = 1 ]; then sleep 300 & echo $! > %s.tmp && mv %s.tmp %s; wait; fi; exec {args}", pidFile, pidFile, pidFile)
 	dir := t.TempDir()
-	st, files, logs, err := runFleet(t, context.Background(), dir, tmpl)
+	st, files, logs, err := runFleet(t, context.Background(), dir, "", tmpl)
 	if err != nil {
 		t.Fatalf("fleet: %v\nlog:\n%s", err, logs)
 	}
-	checkFleetResult(t, dir, st, files, logs)
+	checkFleetResult(t, dir, st, files, gridRuns(t), logs)
 	raw, err := os.ReadFile(pidFile)
 	if err != nil {
 		t.Fatalf("stalled child never recorded its grandchild: %v", err)
@@ -290,33 +296,71 @@ func TestFleetStalledChildDoesNotBlockAndIsReaped(t *testing.T) {
 }
 
 // TestFleetInterruptedResumeBitIdentical: a fleet cancelled with work
-// left journals its acked items; a second fleet over the same directory
-// adopts them and finishes byte-identically, re-executing nothing acked.
+// left leaves its finished runs in the children's store; a second fleet
+// over a fresh work directory and the same store executes only the
+// runs that were not stored and finishes byte-identically.
 func TestFleetInterruptedResumeBitIdentical(t *testing.T) {
-	dir, gate := t.TempDir(), filepath.Join(t.TempDir(), "gate")
+	storeDir, gate := t.TempDir(), filepath.Join(t.TempDir(), "gate")
 	t.Setenv(gateEnv, gate)
-	tmpl := gatedTemplate(gate)
+	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		waitAcks(t, dir, 1)
+		waitExecAcks(t, dir, 1)
 		cancel()
 	}()
-	_, _, logs1, err := runFleet(t, ctx, dir, tmpl)
+	_, _, logs, err := runFleet(t, ctx, dir, storeDir, gatedTemplate(gate))
 	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupted fleet returned %v\nlog:\n%s", err, logs1)
+		t.Fatalf("interrupted fleet returned %v\nlog:\n%s", err, logs)
 	}
+	resumeFromStore(t, storeDir, gate, logs)
+}
+
+// resumeFromStore reruns an interrupted fleet's grid over storeDir with
+// the gate open, each run on a fresh work directory, and pins the
+// store-resume contract: the rerun executes exactly the grid's runs
+// that were not stored at restart, its result is byte-identical to a
+// serial run, and a third run executes nothing.
+func resumeFromStore(t *testing.T, storeDir, gate string, priorLogs ...string) {
+	t.Helper()
 	if err := os.WriteFile(gate, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, files, logs2, err := runFleet(t, context.Background(), dir, tmpl)
+	t.Setenv(gateEnv, gate)
+	stored, keys := storedRuns(t, storeDir), gridRuns(t)
+	if stored == 0 || stored >= keys {
+		t.Fatalf("store holds %d of %d runs at restart; the interruption proved nothing\nprior logs:\n%s",
+			stored, keys, strings.Join(priorLogs, "\n"))
+	}
+	t.Logf("store holds %d of %d runs at restart", stored, keys)
+	for _, want := range []int64{keys - stored, 0} {
+		dir := t.TempDir()
+		st, files, logs, err := runFleet(t, context.Background(), dir, storeDir, gatedTemplate(gate))
+		if err != nil {
+			t.Fatalf("resumed fleet: %v\nlog:\n%s\nprior logs:\n%s", err, logs, strings.Join(priorLogs, "\n"))
+		}
+		checkFleetResult(t, dir, st, files, want, logs)
+	}
+}
+
+// storedRuns counts the valid entries in the run store at dir.
+func storedRuns(t *testing.T, dir string) int64 {
+	t.Helper()
+	d, err := store.OpenDisk(dir)
 	if err != nil {
-		t.Fatalf("resumed fleet: %v\nlog:\n%s", err, logs2)
+		t.Fatal(err)
 	}
-	if !strings.Contains(logs2, "adopted from journal (1/3 item(s) acked") {
-		t.Errorf("resumed fleet did not adopt the acked item:\n%s", logs2)
+	infos, err := d.List()
+	if err != nil {
+		t.Fatal(err)
 	}
-	checkFleetResult(t, dir, st, files, logs1, logs2)
+	return int64(len(infos))
+}
+
+// gridRuns is the tiny grid's run-key count: what a cold fleet executes.
+func gridRuns(t *testing.T) int64 {
+	_, n := reference(t)
+	return n
 }
 
 // TestFleetKillStormConverges: the dispatch.worker failpoint SIGKILLs
@@ -332,7 +376,7 @@ func TestFleetKillStormConverges(t *testing.T) {
 	fault.Enable(p)
 	t.Cleanup(fault.Disable)
 	dir := t.TempDir()
-	st, files, logs, err := runFleet(t, context.Background(), dir, "sleep 0.3; exec {args}")
+	st, files, logs, err := runFleet(t, context.Background(), dir, "", "sleep 0.3; exec {args}")
 	if err != nil {
 		t.Fatalf("fleet under kill storm: %v\nlog:\n%s", err, logs)
 	}
@@ -342,7 +386,7 @@ func TestFleetKillStormConverges(t *testing.T) {
 	if n := strings.Count(logs, "respawn "); n != 2 {
 		t.Errorf("kill storm (x2) cost %d respawns, want 2\nlog:\n%s", n, logs)
 	}
-	checkFleetResult(t, dir, st, files, logs)
+	checkFleetResult(t, dir, st, files, gridRuns(t), logs)
 }
 
 // gatedTemplate keeps every slot but 0 asleep until gate exists, so a
@@ -351,17 +395,18 @@ func gatedTemplate(gate string) string {
 	return fmt.Sprintf("if [ {slot} != 0 ] && [ ! -e %s ]; then exec sleep 300; fi; exec {args}", gate)
 }
 
-// waitAcks blocks until the queue journal under dir holds n acks.
-func waitAcks(t *testing.T, dir string, n int) {
+// waitExecAcks blocks until the queue journal under dir holds n acks
+// of items that executed runs (an ack record carries "exec" only then).
+func waitExecAcks(t *testing.T, dir string, n int) {
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
 		raw, _ := os.ReadFile(filepath.Join(dir, "queue.journal"))
-		if bytes.Count(raw, []byte(`"t":"ack"`)) >= n {
+		if bytes.Count(raw, []byte(`"exec":`)) >= n {
 			return
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	t.Errorf("queue journal never reached %d ack(s)", n)
+	t.Errorf("queue journal never reached %d executing ack(s)", n)
 }
 
 // waitReaped fails unless pid is gone within a few seconds.

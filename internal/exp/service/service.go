@@ -24,8 +24,8 @@
 // the daemon and read through — or publish into — the very store that
 // deduplicates submissions.
 //
-// Every submission, lease grant and ack is journaled (the session
-// journal's job/lease/ack record types), so a SIGKILLed daemon resumes
+// Every submission, lease grant and ack is journaled (queue.journal
+// under Dir, with job/lease/ack records), so a SIGKILLed daemon resumes
 // its queue with zero re-executed runs: acked items are adopted, unacked
 // items re-lease, completed-but-unassembled jobs re-finalize. Tenancy
 // is by bearer token: per-token concurrent-job quotas, three priority

@@ -14,7 +14,7 @@ import (
 )
 
 // storeClient opens a pure-HTTP store front against a daemon's store
-// routes, authenticating with token (the client reads $PRACSTORE_TOKEN).
+// routes, authenticating with token (the client reads $PRACSIMD_TOKEN).
 func storeClient(t *testing.T, url, token string) (*store.HTTP, *store.Store) {
 	t.Helper()
 	t.Setenv(store.TokenEnv, token)

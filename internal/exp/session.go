@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strings"
 
-	"pracsim/internal/exp/journal"
 	"pracsim/internal/exp/shard"
 	"pracsim/internal/exp/store"
 	"pracsim/internal/sim"
@@ -18,6 +17,11 @@ import (
 // invocations and machines) and a shard spec (this process executes only
 // its deterministic slice of the run keys). The zero value is a plain
 // in-process session.
+//
+// The store is also the session's crash-resume layer: every executed
+// run is put under its content-addressed key as soon as it finishes, so
+// an interrupted invocation re-run over the same store executes only
+// the runs it had not stored.
 type SessionOptions struct {
 	// Store, when non-nil, is consulted before executing any simulation
 	// and receives every executed result; it layers under the in-process
@@ -28,13 +32,6 @@ type SessionOptions struct {
 	// (which stay zero) instead of executing; figures from a sharded
 	// session are partial by design and are assembled by a later merge.
 	Shard shard.Spec
-	// Journal, when non-nil, is the session's crash-recovery layer:
-	// runs it recovered from a prior interrupted invocation are served
-	// without re-executing (even with no store attached), and every run
-	// this session resolves is appended so the *next* crash loses
-	// nothing either. It sits between the in-process cache and the
-	// store in the lookup order.
-	Journal *journal.Journal
 }
 
 // ErrShardSkipped marks a simulation that belongs to another shard of a
@@ -97,15 +94,6 @@ func (s *Runner) StoreStats() store.Stats {
 		return store.Stats{}
 	}
 	return s.r.store.Stats()
-}
-
-// JournalStats snapshots the session journal's counters; the zero Stats
-// when the session has no journal.
-func (s *Runner) JournalStats() journal.Stats {
-	if s.r.journal == nil {
-		return journal.Stats{}
-	}
-	return s.r.journal.Stats()
 }
 
 // ExportShard writes every owned run this session resolved — executed,
@@ -194,40 +182,16 @@ func (s *Runner) ImportShards(paths ...string) (int, error) {
 // therefore bump sim.SchemaVersion — that moves the key and orphans
 // every old entry, which is the store's only reliable invalidation.
 func Memo[T any](st *store.Store, key string, fn func() (T, error)) (T, error) {
-	return MemoWith(st, nil, key, fn)
-}
-
-// MemoWith is Memo with an optional session journal layered in front of
-// the store: a memoized experiment recovered from a crashed invocation's
-// journal is served without touching the store or recomputing, and every
-// computed (or store-served) result is journaled so the next crash skips
-// it too. Either layer may be nil.
-func MemoWith[T any](st *store.Store, jl *journal.Journal, key string, fn func() (T, error)) (T, error) {
-	if st == nil && jl == nil {
+	if st == nil {
 		return fn()
 	}
 	full := fmt.Sprintf("pracsim/exp/v%d/%s", sim.SchemaVersion, key)
-	decode := func(data []byte) (T, bool) {
+	if data, ok := st.Get(full); ok {
 		dec := json.NewDecoder(bytes.NewReader(data))
 		dec.DisallowUnknownFields()
 		var res T
-		return res, dec.Decode(&res) == nil
-	}
-	if jl != nil {
-		if data, ok := jl.Run(full); ok {
-			if res, ok := decode(data); ok {
-				return res, nil
-			}
-		}
-	}
-	if st != nil {
-		if data, ok := st.Get(full); ok {
-			if res, ok := decode(data); ok {
-				if jl != nil {
-					_ = jl.AppendRun(full, data)
-				}
-				return res, nil
-			}
+		if dec.Decode(&res) == nil {
+			return res, nil
 		}
 	}
 	res, err := fn()
@@ -237,12 +201,7 @@ func MemoWith[T any](st *store.Store, jl *journal.Journal, key string, fn func()
 	// Persisting is best-effort: a full disk costs future time, not
 	// current correctness.
 	if data, merr := json.Marshal(res); merr == nil {
-		if st != nil {
-			_ = st.Put(full, data)
-		}
-		if jl != nil {
-			_ = jl.AppendRun(full, data)
-		}
+		_ = st.Put(full, data)
 	}
 	return res, nil
 }

@@ -206,7 +206,7 @@ func TestShardMergeBitIdentical(t *testing.T) {
 // TestValidationModesBypassStore: -differential and -percycle exist to
 // actually execute simulations (comparing clockings, forcing the
 // reference model); a warm store must not serve their results and
-// silently validate nothing.
+// silently validate nothing, and their sessions write nothing to it.
 func TestValidationModesBypassStore(t *testing.T) {
 	st := openStore(t)
 	cold := NewRunnerWith(storeScale(), SessionOptions{Store: st})
@@ -214,6 +214,7 @@ func TestValidationModesBypassStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []string{"differential", "percycle"} {
+		before := st.Stats()
 		scale := storeScale()
 		if mode == "differential" {
 			scale.Differential = true
@@ -227,8 +228,55 @@ func TestValidationModesBypassStore(t *testing.T) {
 		if n := sess.Executed(); n == 0 {
 			t.Errorf("%s mode served from the warm store: 0 simulations executed", mode)
 		}
-		if hits := sess.StoreStats().Hits - cold.StoreStats().Hits; hits != 0 {
+		after := st.Stats()
+		if hits := after.Hits - before.Hits; hits != 0 {
 			t.Errorf("%s mode took %d store hits", mode, hits)
+		}
+		if writes := after.Writes - before.Writes; writes != 0 {
+			t.Errorf("%s mode made %d store writes", mode, writes)
+		}
+	}
+}
+
+// TestValidationModesBypassJournal: the run store is the sessions'
+// redo log, so an interrupted -differential or -percycle session must
+// leave nothing in it for the next session to resume. Starting from a
+// cold store, each validation session writes nothing, and a plain
+// session that follows executes the full grid, exactly as over an
+// empty store.
+func TestValidationModesBypassJournal(t *testing.T) {
+	fresh := NewRunnerWith(storeScale(), SessionOptions{Store: openStore(t)})
+	if _, err := fresh.Fig12(); err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Executed()
+	if want == 0 {
+		t.Fatal("plain session over an empty store executed nothing")
+	}
+	for _, mode := range []string{"differential", "percycle"} {
+		st := openStore(t)
+		scale := storeScale()
+		if mode == "differential" {
+			scale.Differential = true
+		} else {
+			scale.PerCycle = true
+		}
+		sess := NewRunnerWith(scale, SessionOptions{Store: st})
+		if _, err := sess.Fig12(); err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if sess.Executed() == 0 {
+			t.Fatalf("%s session executed nothing", mode)
+		}
+		if s := st.Stats(); s.Writes != 0 || s.Hits != 0 {
+			t.Errorf("%s session touched the store: %d writes, %d hits", mode, s.Writes, s.Hits)
+		}
+		next := NewRunnerWith(storeScale(), SessionOptions{Store: st})
+		if _, err := next.Fig12(); err != nil {
+			t.Fatalf("after %s: %v", mode, err)
+		}
+		if got := next.Executed(); got != want {
+			t.Errorf("after a %s session, a plain session executed %d runs, want the full grid's %d", mode, got, want)
 		}
 	}
 }

@@ -32,10 +32,10 @@ type Info struct {
 type Backend interface {
 	// Get returns the validated payload stored under key.
 	Get(key string) ([]byte, error)
-	// Put durably and atomically publishes payload under key,
-	// replacing any previous entry. Concurrent writers are safe; the
-	// last one wins (with deterministic payloads all carry identical
-	// bytes).
+	// Put atomically publishes payload under key, replacing any
+	// previous entry; the write is not fsynced. Concurrent writers are
+	// safe; the last one wins (with deterministic payloads all carry
+	// identical bytes).
 	Put(key string, payload []byte) error
 	// Stat describes the entry under key without fetching its payload
 	// to the caller.

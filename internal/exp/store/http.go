@@ -44,7 +44,9 @@ const breakerTrip = 5
 // TokenEnv names the environment variable the HTTP client reads its
 // bearer token (one of the server's pracsimd -tokens) from — an env var
 // so the secret never appears in argv or shard-dispatch command lines.
-const TokenEnv = "PRACSTORE_TOKEN"
+// It is pracsimd's one client token variable: tpracsim -pull-token
+// defaults to it too.
+const TokenEnv = "PRACSIMD_TOKEN"
 
 // HTTPOptions tunes the client's failure policy. The zero value means
 // defaults, so OpenHTTPWith(url, HTTPOptions{}) == OpenHTTP(url).
@@ -113,7 +115,7 @@ type HTTP struct {
 
 // OpenHTTP returns a client backend for a pracsimd base URL with the
 // default failure policy. The bearer token, when the server requires
-// one, comes from $PRACSTORE_TOKEN. Only the URL is validated here — the
+// one, comes from $PRACSIMD_TOKEN. Only the URL is validated here — the
 // server is contacted lazily, and an unreachable server degrades every
 // operation rather than failing open.
 func OpenHTTP(rawurl string) (*HTTP, error) {

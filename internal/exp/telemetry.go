@@ -55,9 +55,6 @@ func (s *Runner) TelemetryReport(top int) string {
 	if s.r.store != nil {
 		out += s.r.store.Stats().Report(s.r.store.Spec()) + "\n"
 	}
-	if s.r.journal != nil {
-		out += s.r.journal.Stats().Report(s.r.journal.Path()) + "\n"
-	}
 	// A fault schedule makes a session's numbers suspect by design; say
 	// so whenever one actually fired.
 	if p := fault.Active(); p != nil && fault.Fired() > 0 {

@@ -86,13 +86,13 @@ const (
 	// child: kill (SIGKILL its process group after the duration
 	// operand), delay (the launch waits the operand).
 	DispatchWorker = "dispatch.worker"
-	// JournalAppend fires in the session journal's record append: err
+	// JournalAppend fires in the queue journal's record append: err
 	// (append fails, nothing written), short (a partial frame lands on
 	// disk and is immediately repaired by truncation), torn (a partial
 	// frame lands on disk and stays there — the crash-mid-append case
 	// recovery must truncate on the next open).
 	JournalAppend = "journal.append"
-	// JournalSync fires in the session journal's fsync batch: err (the
+	// JournalSync fires in the queue journal's fsync batch: err (the
 	// sync fails; the journal stays usable and the next sync retries).
 	JournalSync = "journal.sync"
 	// ServiceSubmit fires in pracsimd's job-submit handler: err (500 —

@@ -17,7 +17,7 @@
 //   - Experiments: Scale, ExpRunner and the Run* functions reproducing
 //     every evaluation table and figure.
 //
-// The experiment infrastructure — the run store, session journal,
+// The experiment infrastructure — the run store, queue journal,
 // sharding, fault injection and the pracsimd service — stays internal;
 // the commands under cmd/ drive it.
 package pracsim
