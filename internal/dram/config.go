@@ -63,6 +63,9 @@ func (o Org) Validate() error {
 		return fmt.Errorf("dram: organization has non-positive bank dimensions: %+v", o)
 	case o.Rows <= 0 || o.Columns <= 0 || o.LineBytes <= 0:
 		return fmt.Errorf("dram: organization has non-positive row dimensions: %+v", o)
+	case int64(o.Rows) > 1<<31:
+		// The PRAC counter table keys a row as uint32(row)+1.
+		return fmt.Errorf("dram: organization has %d rows per bank, more than 1<<31", o.Rows)
 	}
 	return nil
 }

@@ -98,6 +98,15 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("zero ranks accepted")
 	}
 	c = DefaultConfig(1024)
+	c.Org.Rows = 1 << 31 // the largest bank whose rows all fit a counter key
+	if err := c.Validate(); err != nil {
+		t.Errorf("1<<31 rows rejected: %v", err)
+	}
+	c.Org.Rows++
+	if err := c.Validate(); err == nil {
+		t.Error("1<<31+1 rows accepted; row 1<<31 would not fit a counter key")
+	}
+	c = DefaultConfig(1024)
 	c.Queue = QueueKind(99)
 	if err := c.Validate(); err == nil {
 		t.Error("unknown queue kind accepted")

@@ -90,7 +90,7 @@ type bank struct {
 	lastACTAt    ticks.T
 	blockedUntil ticks.T // per-bank RFMpb in flight
 
-	counters map[int]uint32
+	counters rowCounters
 	queue    MitigationQueue
 }
 
@@ -128,8 +128,7 @@ func New(cfg Config) (*Module, error) {
 	}
 	for i := range m.banks {
 		b := &m.banks[i]
-		b.counters = make(map[int]uint32)
-		b.queue = newQueue(cfg, b.counters)
+		b.queue = newQueue(cfg, &b.counters)
 	}
 	return m, nil
 }
@@ -162,17 +161,13 @@ func (m *Module) OpenRow(bankIdx int) (row int, open bool) {
 
 // RowCounter reports the PRAC activation counter of a row.
 func (m *Module) RowCounter(bankIdx, row int) uint32 {
-	return m.banks[bankIdx].counters[row]
+	return m.banks[bankIdx].counters.get(row)
 }
 
 // HottestRow reports the row with the highest live counter in a bank.
+// On a tie it reports the lowest row; an untouched bank reports (0, 0).
 func (m *Module) HottestRow(bankIdx int) (row int, count uint32) {
-	for r, c := range m.banks[bankIdx].counters {
-		if c > count || (c == count && r < row) {
-			row, count = r, c
-		}
-	}
-	return row, count
+	return m.banks[bankIdx].counters.hottest()
 }
 
 // ChannelBlockedUntil reports when the channel-wide RFM block ends.
@@ -188,7 +183,7 @@ func (m *Module) Maintain(now ticks.T) {
 	for now >= m.nextCounterReset {
 		for i := range m.banks {
 			b := &m.banks[i]
-			clear(b.counters)
+			b.counters.clear()
 			b.queue.Clear()
 		}
 		m.stats.CounterResets++
@@ -287,6 +282,9 @@ func (m *Module) Issue(cmd Cmd, now ticks.T) Result {
 	var res Result
 	switch cmd.Kind {
 	case CmdACT:
+		if uint(cmd.Row) >= uint(m.cfg.Org.Rows) {
+			panic(fmt.Sprintf("dram: ACT to row %d of a %d-row bank", cmd.Row, m.cfg.Org.Rows))
+		}
 		b := &m.banks[cmd.Bank]
 		b.state = bankActive
 		b.openRow = cmd.Row
@@ -345,7 +343,7 @@ func (m *Module) Issue(cmd Cmd, now ticks.T) Result {
 		b.blockedUntil = now + t.TRFMpb
 		m.stats.RFMpbs++
 		if row, ok := b.queue.PopVictim(); ok {
-			delete(b.counters, row)
+			b.counters.del(row)
 			m.stats.MitigatedRows++
 			res.MitigatedRows = 1
 		}
@@ -361,8 +359,7 @@ func (m *Module) countActivation(bankIdx, row int) {
 		return
 	}
 	b := &m.banks[bankIdx]
-	b.counters[row]++
-	c := b.counters[row]
+	c := b.counters.inc(row)
 	b.queue.Observe(row, c)
 	if int(c) >= m.cfg.PRAC.NBO && m.alertArmed && !m.alertAsserted {
 		m.alertAsserted = true
@@ -393,7 +390,7 @@ func (m *Module) mitigateRank(rank int) int {
 		if !ok {
 			continue
 		}
-		delete(b.counters, row)
+		b.counters.del(row)
 		m.stats.MitigatedRows++
 		n++
 	}

@@ -339,12 +339,20 @@ func TestHottestRow(t *testing.T) {
 
 func TestIllegalIssuePanics(t *testing.T) {
 	m := MustNew(smallConfig(1024))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Issue of illegal command did not panic")
-		}
-	}()
-	m.Issue(Cmd{Kind: CmdRD, Bank: 0}, 0) // no open row
+	for _, cmd := range []Cmd{
+		{Kind: CmdRD, Bank: 0},           // no open row
+		{Kind: CmdACT, Bank: 0, Row: -1}, // rows outside the bank
+		{Kind: CmdACT, Bank: 0, Row: m.Config().Org.Rows},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Issue of illegal %v (row %d) did not panic", cmd.Kind, cmd.Row)
+				}
+			}()
+			m.Issue(cmd, 0)
+		}()
+	}
 }
 
 func TestNewRejectsInvalidConfig(t *testing.T) {

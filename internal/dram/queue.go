@@ -155,36 +155,32 @@ func (q *fifoQueue) Clear() {
 }
 
 // idealQueue models UPRAC's idealized mitigation: it has full knowledge of
-// the bank's live counters and always mitigates the hottest row. It keeps a
-// reference to the bank's counter map rather than copying state.
+// the bank's live counters and always mitigates the hottest row (the lowest
+// such row on a tie). It keeps a reference to the bank's counter table
+// rather than copying state.
 type idealQueue struct {
-	counters map[int]uint32
+	counters *rowCounters
 }
 
-func newIdealQueue(counters map[int]uint32) *idealQueue {
+func newIdealQueue(counters *rowCounters) *idealQueue {
 	return &idealQueue{counters: counters}
 }
 
 func (q *idealQueue) Observe(int, uint32) {}
 
 func (q *idealQueue) PopVictim() (int, bool) {
-	best, bestCount, found := 0, uint32(0), false
-	for row, c := range q.counters {
-		if !found || c > bestCount || (c == bestCount && row < best) {
-			best, bestCount, found = row, c, true
-		}
-	}
-	if !found || bestCount == 0 {
+	row, count := q.counters.hottest()
+	if count == 0 {
 		return 0, false
 	}
-	return best, true
+	return row, true
 }
 
 func (q *idealQueue) Clear() {}
 
 // newQueue builds the queue implementation selected by the configuration.
-// counters is the owning bank's live counter map, used by the ideal design.
-func newQueue(cfg Config, counters map[int]uint32) MitigationQueue {
+// counters is the owning bank's live counter table, used by the ideal design.
+func newQueue(cfg Config, counters *rowCounters) MitigationQueue {
 	switch cfg.Queue {
 	case QueueSingleEntry:
 		return newSingleEntryQueue()

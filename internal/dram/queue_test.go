@@ -170,9 +170,19 @@ func TestFIFOQueueNoDuplicates(t *testing.T) {
 	}
 }
 
+// counterTable builds a rowCounters holding the given counts.
+func counterTable(counts map[int]uint32) *rowCounters {
+	t := &rowCounters{}
+	for row, c := range counts {
+		for range c {
+			t.inc(row)
+		}
+	}
+	return t
+}
+
 func TestIdealQueuePopsLiveMax(t *testing.T) {
-	counters := map[int]uint32{10: 3, 20: 8, 30: 8}
-	q := newIdealQueue(counters)
+	q := newIdealQueue(counterTable(map[int]uint32{10: 3, 20: 8, 30: 8}))
 	row, ok := q.PopVictim()
 	if !ok || row != 20 { // ties break toward the lower row index
 		t.Fatalf("PopVictim() = %d,%v; want 20,true", row, ok)
@@ -180,14 +190,14 @@ func TestIdealQueuePopsLiveMax(t *testing.T) {
 }
 
 func TestIdealQueueEmptyCounters(t *testing.T) {
-	q := newIdealQueue(map[int]uint32{})
+	q := newIdealQueue(counterTable(nil))
 	if _, ok := q.PopVictim(); ok {
 		t.Fatal("ideal queue over empty counters must report empty")
 	}
 }
 
 func TestNewQueueSelectsKind(t *testing.T) {
-	counters := map[int]uint32{}
+	counters := &rowCounters{}
 	cases := []struct {
 		kind QueueKind
 		want string

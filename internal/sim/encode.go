@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 )
 
 // SchemaVersion identifies the simulator's behavioral schema: any change
@@ -36,7 +37,8 @@ func EncodeResult(r RunResult) ([]byte, error) {
 }
 
 // DecodeResult parses a stable-form RunResult, rejecting payloads from a
-// different simulator schema or with fields this schema does not know.
+// different simulator schema, with fields this schema does not know or
+// with anything but whitespace after the envelope.
 // Note the asymmetry: an entry *missing* a field RunResult gained later
 // decodes with that field zero-valued — adding a result field is a
 // schema change and must bump SchemaVersion like any other.
@@ -46,6 +48,9 @@ func DecodeResult(data []byte) (RunResult, error) {
 	var env resultEnvelope
 	if err := dec.Decode(&env); err != nil {
 		return RunResult{}, fmt.Errorf("sim: decoding result: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return RunResult{}, fmt.Errorf("sim: decoding result: trailing data after the envelope")
 	}
 	if env.Schema != SchemaVersion {
 		return RunResult{}, fmt.Errorf("sim: result schema %d, want %d", env.Schema, SchemaVersion)

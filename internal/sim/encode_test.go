@@ -66,14 +66,14 @@ func TestDecodeResultRejectsSchemaMismatch(t *testing.T) {
 	}
 }
 
-// TestDecodeResultRejectsGarbage: truncated or non-JSON payloads error
-// cleanly (the store treats any decode error as a miss).
+// TestDecodeResultRejectsGarbage: truncated, extended or non-JSON
+// payloads error cleanly (the store treats any decode error as a miss).
 func TestDecodeResultRejectsGarbage(t *testing.T) {
 	good, err := EncodeResult(sampleResult())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, data := range [][]byte{nil, []byte("{"), good[:len(good)/2], []byte(`{"schema":3,"result":{"NoSuchField":1}}`)} {
+	for _, data := range [][]byte{nil, []byte("{"), good[:len(good)/2], append(good, '}'), []byte(`{"schema":3,"result":{"NoSuchField":1}}`)} {
 		if _, err := DecodeResult(data); err == nil {
 			t.Errorf("decode accepted %q", data)
 		}
