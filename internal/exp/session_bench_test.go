@@ -11,9 +11,8 @@ import (
 // the whole Fig12 grid served from disk with zero simulations. The
 // store is filled by an unmeasured cold session before the timer, so
 // every measured iteration is a pure warm replay (what a repeat
-// tpracsim/CI invocation pays). The custom store_* metrics flow into
-// the bench artifact's top-level store section (cmd/benchjson), making
-// hit/miss/byte behavior diffable across PRs in BENCH_pr3.json.
+// tpracsim/CI invocation pays). The custom store_* metrics report the
+// hit/miss/byte behavior; BENCH_pr3.json holds PR 3's figures.
 func BenchmarkStoreWarmSweep(b *testing.B) {
 	st, err := store.Open(b.TempDir())
 	if err != nil {
@@ -47,9 +46,8 @@ func BenchmarkStoreWarmSweep(b *testing.B) {
 // the whole Fig12 mini-grid served from a frame server over HTTP
 // with zero simulations, through a fresh pure-HTTP client each
 // iteration (no local tier, so every Get crosses the wire: what a new
-// fleet worker pays against a warm server). The store_remote_* metrics
-// flow into the bench artifact's store section (cmd/benchjson,
-// BENCH_pr5.json).
+// fleet worker pays against a warm server). BENCH_pr5.json holds PR 5's
+// store_remote_* figures.
 func BenchmarkStoreRemoteWarmSweep(b *testing.B) {
 	disk, err := store.OpenDisk(b.TempDir())
 	if err != nil {

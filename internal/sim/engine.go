@@ -11,20 +11,25 @@ import (
 // memory controller) and one-shot scheduled events. Components are strictly
 // single-threaded: all callbacks run on the caller's goroutine in time order.
 //
-// Both tickers and events live in binary min-heaps keyed by next fire
-// time, so finding the next timestep is O(1) and every schedule or fire
-// is O(log n) — the hot loop never scans the full ticker set. The heaps
-// are concrete-typed with hand-rolled sift routines: pushing an event
-// does not box it into an interface, so the per-request scheduling that
-// dominates Engine work allocates nothing.
+// Tickers sit in a slice in registration order, each holding its own next
+// fire time; events sit in a binary min-heap keyed by (time, schedule
+// order). A step finds the next timestep as the minimum over the ticker
+// slice and the event-heap root, fires that timestep's events, then walks
+// the slice once in index order — which is registration order, the tie
+// rule for tickers due together. A step costs O(tickers) + O(log events):
+// a system runs at most a handful of tickers, where a scan beats keeping
+// them ordered, while attack pumps can hold many pending events. The event
+// heap is concrete-typed, so pushing an event does not box it into an
+// interface and per-request scheduling allocates nothing.
 type Engine struct {
 	now     ticks.T
-	tickers tickerHeap
+	tickers []*Ticker
 	events  eventHeap
 	nextID  int
 	stopped bool
 	steps   int64
-	firing  int // id of the ticker currently running its callback, -1 otherwise
+	firing  int  // id of the ticker currently running its callback, -1 otherwise
+	removed bool // a ticker was removed since the slice was last compacted
 	// done is the last timestep Run finished processing: every ticker slot
 	// up to it is spent, even for a ticker that was parked or deferred.
 	done ticks.T
@@ -33,13 +38,17 @@ type Engine struct {
 // Ticker is a handle to a periodic callback, returned by AddTicker and
 // accepted by RemoveTicker, PauseTicker and RescheduleTicker.
 type Ticker struct {
+	next   ticks.T // next fire time; ticks.Never while paused or removed
 	period ticks.T
 	phase  ticks.T // first fire time mod period: the ticker's cycle grid
 	id     int     // registration order; break ties at equal fire times
-	pos    int     // index in the ticker heap, -1 while paused or removed
-	paused bool    // parked by PauseTicker: off the heap but resumable
+	paused bool    // parked by PauseTicker: off the schedule but resumable
 	fn     func(now ticks.T)
 }
+
+// gone reports whether t has been removed: off the schedule and not
+// parked.
+func (t *Ticker) gone() bool { return t.next == ticks.Never && !t.paused }
 
 type event struct {
 	at  ticks.T
@@ -102,102 +111,6 @@ func (h *eventHeap) siftDown(i int) {
 	}
 }
 
-// tickerHeap is a binary min-heap of live tickers ordered by
-// (next fire time, registration order), with position bookkeeping so
-// RemoveTicker is O(log n). The sort keys live inline in the slots, so
-// sift comparisons stay on contiguous memory instead of chasing Ticker
-// pointers.
-type tickerHeap struct {
-	items []tickerSlot
-}
-
-type tickerSlot struct {
-	next ticks.T
-	id   int
-	t    *Ticker
-}
-
-func (h *tickerHeap) less(i, j int) bool {
-	return h.slotLess(&h.items[i], &h.items[j])
-}
-
-func (h *tickerHeap) slotLess(a, b *tickerSlot) bool {
-	if a.next != b.next {
-		return a.next < b.next
-	}
-	return a.id < b.id
-}
-
-func (h *tickerHeap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].t.pos = i
-	h.items[j].t.pos = j
-}
-
-func (h *tickerHeap) push(t *Ticker, next ticks.T) {
-	t.pos = len(h.items)
-	h.items = append(h.items, tickerSlot{next: next, id: t.id, t: t})
-	h.siftUp(t.pos)
-}
-
-func (h *tickerHeap) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-// siftDown percolates a hole instead of swapping pairwise: children
-// shift up one write at a time and the displaced slot lands once at its
-// final position.
-func (h *tickerHeap) siftDown(i int) {
-	n := len(h.items)
-	moving := h.items[i]
-	for {
-		child := 2*i + 1
-		if child >= n {
-			break
-		}
-		if r := child + 1; r < n && h.slotLess(&h.items[r], &h.items[child]) {
-			child = r
-		}
-		if !h.slotLess(&h.items[child], &moving) {
-			break
-		}
-		h.items[i] = h.items[child]
-		h.items[i].t.pos = i
-		i = child
-	}
-	h.items[i] = moving
-	moving.t.pos = i
-}
-
-func (h *tickerHeap) fix(i int) {
-	h.siftDown(i)
-	h.siftUp(i)
-}
-
-func (h *tickerHeap) remove(t *Ticker) {
-	i := t.pos
-	if i < 0 {
-		return
-	}
-	n := len(h.items) - 1
-	if i != n {
-		h.swap(i, n)
-	}
-	h.items[n] = tickerSlot{}
-	h.items = h.items[:n]
-	t.pos = -1
-	if i < n {
-		h.fix(i)
-	}
-}
-
 // NewEngine returns an engine at time zero.
 func NewEngine() *Engine { return &Engine{firing: -1, done: -1} }
 
@@ -222,17 +135,19 @@ func (e *Engine) AddTicker(period, offset ticks.T, fn func(now ticks.T)) *Ticker
 	if offset < e.now {
 		offset = e.now
 	}
-	t := &Ticker{period: period, phase: offset % period, id: e.nextID, fn: fn}
+	t := &Ticker{next: offset, period: period, phase: offset % period, id: e.nextID, fn: fn}
 	e.nextID++
-	e.tickers.push(t, offset)
+	e.tickers = append(e.tickers, t)
 	return t
 }
 
 // RemoveTicker cancels a ticker; removing one twice, or removing a paused
-// ticker, is safe.
+// ticker, is safe. The ticker only leaves the schedule here: Run drops it
+// from the slice after the current step, so no index moves mid-walk.
 func (e *Engine) RemoveTicker(t *Ticker) {
 	t.paused = false
-	e.tickers.remove(t)
+	t.next = ticks.Never
+	e.removed = true
 }
 
 // PauseTicker parks a ticker: it leaves the schedule but stays resumable
@@ -240,10 +155,10 @@ func (e *Engine) RemoveTicker(t *Ticker) {
 // no-op. Components use this when they are quiescent with no computable
 // deadline — a wakeup event must call RescheduleTicker to re-arm them.
 func (e *Engine) PauseTicker(t *Ticker) {
-	if t.pos < 0 {
+	if t.next == ticks.Never {
 		return
 	}
-	e.tickers.remove(t)
+	t.next = ticks.Never
 	t.paused = true
 }
 
@@ -263,15 +178,11 @@ func (e *Engine) PauseTicker(t *Ticker) {
 // (fast-forward) and pulling a deferred or paused ticker back up when an
 // event creates work (wakeup). Rescheduling a removed ticker is a no-op.
 func (e *Engine) RescheduleTicker(t *Ticker, at ticks.T) {
-	next := e.nextSlot(t, at)
-	switch {
-	case t.paused:
-		t.paused = false
-		e.tickers.push(t, next)
-	case t.pos >= 0:
-		e.tickers.items[t.pos].next = next
-		e.tickers.fix(t.pos)
+	if t.gone() {
+		return
 	}
+	t.paused = false
+	t.next = e.nextSlot(t, at)
 }
 
 // nextSlot computes the earliest grid-aligned fire time >= at that has
@@ -321,13 +232,13 @@ func (e *Engine) At(at ticks.T, fn func(now ticks.T)) {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Run advances time until the deadline (inclusive of work scheduled exactly
-// at it). Idle gaps with no tickers or events are skipped in O(1).
+// at it). Idle gaps with no tickers or events are skipped in one step.
 func (e *Engine) Run(until ticks.T) {
 	e.stopped = false
 	for !e.stopped {
 		next := until + 1
-		if len(e.tickers.items) > 0 && e.tickers.items[0].next < next {
-			next = e.tickers.items[0].next
+		for _, t := range e.tickers {
+			next = min(next, t.next)
 		}
 		if len(e.events.items) > 0 && e.events.items[0].at < next {
 			next = e.events.items[0].at
@@ -343,14 +254,35 @@ func (e *Engine) Run(until ticks.T) {
 			ev := e.events.pop()
 			ev.fn(next)
 		}
-		for len(e.tickers.items) > 0 && e.tickers.items[0].next == next {
-			t := e.tickers.items[0].t
-			e.tickers.items[0].next += t.period
-			e.tickers.fix(0)
-			e.firing = t.id
-			t.fn(next)
+		// A wake can only pull a later-registered ticker up to this
+		// timestep (nextSlot), and AddTicker appends, so one walk in
+		// index order fires every due ticker. A ticker that re-arms
+		// itself here fires again before the walk moves on.
+		for i := 0; i < len(e.tickers); i++ {
+			t := e.tickers[i]
+			for t.next == next {
+				t.next += t.period
+				e.firing = t.id
+				t.fn(next)
+			}
 		}
 		e.firing = -1
+		if e.removed {
+			e.compact()
+		}
 	}
 	e.done = e.now // stopped: the present timestep finished processing
+}
+
+// compact drops removed tickers from the slice, keeping registration order.
+func (e *Engine) compact() {
+	live := e.tickers[:0]
+	for _, t := range e.tickers {
+		if !t.gone() {
+			live = append(live, t)
+		}
+	}
+	clear(e.tickers[len(live):]) // release the removed tickers' closures
+	e.tickers = live
+	e.removed = false
 }
