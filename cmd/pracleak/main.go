@@ -15,10 +15,11 @@
 // Usage:
 //
 //	pracleak -exp fig3|table2|fig4|fig5|fig9|all [-quick] [-workers N]
-//	         [-store DIR|URL|auto|off] [-csvdir DIR]
+//	         [-store DIR|auto|off] [-csvdir DIR]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -45,17 +46,19 @@ func main() {
 	which := flag.String("exp", "all", "experiment: fig3, table2, fig4, fig5, fig9 or all")
 	quick := flag.Bool("quick", false, "reduced sweep sizes for fast runs")
 	workers := flag.Int("workers", 0, "concurrent sweep simulations (0 = all cores, 1 = serial)")
-	storeMode := flag.String("store", "auto", "persistent result store: a directory, a pracsimd URL (http://host:port), 'auto' (user cache dir) or 'off'")
-	storeTimeout := flag.Duration("store-timeout", 10*time.Second, "per-attempt deadline for remote store requests")
+	storeMode := flag.String("store", "auto", "persistent result store: a directory, 'auto' (user cache dir) or 'off'")
 	csvDir := flag.String("csvdir", "", "directory to write CSV files into (optional)")
 	flag.Parse()
 
-	st, warn, err := store.Resolve(*storeMode, store.Options{HTTP: store.HTTPOptions{Timeout: *storeTimeout}})
+	st, warn, err := store.Resolve(*storeMode, store.DiskOptions{})
 	if warn != "" {
 		fmt.Fprintln(os.Stderr, "pracleak: "+warn)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pracleak: %v\n", err)
+		if errors.Is(err, store.ErrURLSpec) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 

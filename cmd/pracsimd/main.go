@@ -4,12 +4,9 @@
 // (`tpracsim -pull URL`) lease and execute the shard work items, and
 // finished jobs serve their CSVs back over HTTP — one shared
 // content-addressed store deduplicates everything, so a grid anyone has
-// run before completes without executing a single simulation.
-//
-// The daemon also serves that store: `-store http://host:8460` on
-// tpracsim, pracleak or secanalysis reads through a local cache into
-// it, so fleets, CI jobs and campaigns on any machine share one warm
-// store. A client that cannot reach the daemon recomputes locally.
+// run before completes without executing a single simulation. The job
+// API is the daemon's only network surface: runs reach its store
+// through workers' acks, never through a remote -store.
 //
 // Usage:
 //
@@ -29,10 +26,9 @@
 // -tokens enables multi-tenant bearer auth (default $PRACSIMD_TOKENS):
 // each token is a tenant with its own job listing, a -quota cap on
 // concurrently active jobs, and a round-robin fair share of worker
-// capacity within each priority level. The store routes take the same
-// tokens (clients send theirs in $PRACSIMD_TOKEN, the variable
-// `tpracsim -pull-token` also defaults to). /healthz and /metrics stay
-// open.
+// capacity within each priority level. Pull workers send theirs with
+// `tpracsim -pull-token` (default $PRACSIMD_TOKEN). /healthz and
+// /metrics stay open.
 //
 // SIGTERM drains: the listener stops, in-flight requests finish, the
 // queue stops granting and the journal syncs — the checkpoint a restart
@@ -126,7 +122,7 @@ func main() {
 	if *tokens != "" {
 		auth = "bearer-token"
 	}
-	logger.Printf("serving experiment jobs and the run store from %s on %s (%s, lease TTL %s, store budget %s)",
+	logger.Printf("serving experiment jobs from %s on %s (%s, lease TTL %s, store budget %s)",
 		*dir, *addr, auth, *leaseTTL, cmp.Or(*budget, "unbounded"))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -8,15 +8,15 @@
 //
 // Usage:
 //
-//	secanalysis [-empirical] [-nbo N] [-store DIR|URL|auto|off] [-csvdir DIR]
+//	secanalysis [-empirical] [-nbo N] [-store DIR|auto|off] [-csvdir DIR]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"pracsim/internal/analysis"
 	"pracsim/internal/dram"
@@ -28,17 +28,19 @@ import (
 func main() {
 	empirical := flag.Bool("empirical", false, "also run a live Feinting attack against the solved window")
 	nbo := flag.Int("nbo", 256, "Back-Off threshold for the empirical validation")
-	storeMode := flag.String("store", "auto", "persistent result store: a directory, a pracsimd URL (http://host:port), 'auto' (user cache dir) or 'off'")
-	storeTimeout := flag.Duration("store-timeout", 10*time.Second, "per-attempt deadline for remote store requests")
+	storeMode := flag.String("store", "auto", "persistent result store: a directory, 'auto' (user cache dir) or 'off'")
 	csvDir := flag.String("csvdir", "", "directory to write fig7.csv into (optional)")
 	flag.Parse()
 
-	st, warn, err := store.Resolve(*storeMode, store.Options{HTTP: store.HTTPOptions{Timeout: *storeTimeout}})
+	st, warn, err := store.Resolve(*storeMode, store.DiskOptions{})
 	if warn != "" {
 		fmt.Fprintln(os.Stderr, "secanalysis: "+warn)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "secanalysis:", err)
+		if errors.Is(err, store.ErrURLSpec) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 	res, err := exp.Memo(st, "secanalysis/fig7", func() (exp.Fig7Result, error) {

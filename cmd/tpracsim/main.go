@@ -25,23 +25,22 @@
 // killed child's item re-leases when its lease expires. The driver
 // merges the acked shard files and renders the figures.
 //
-// The -store flag also takes a pracsimd URL (`-store
-// http://host:8460`, see cmd/pracsimd, which serves its store): the
-// session then reads through a local disk cache into the shared server,
-// and a dispatch fleet pointed at one warm server executes nothing
-// anywhere. An unreachable or corrupt server degrades to local
-// recompute — never a crash or a wrong figure.
+// The store is a local directory. To share runs across machines, submit
+// the grid to a pracsimd daemon (see cmd/pracsimd) and run -pull workers
+// against it: the daemon deduplicates every submission against its own
+// store, so a grid anyone has run before executes nothing anywhere. A
+// URL-shaped -store is rejected with exit status 2.
 //
 // Usage:
 //
 //	tpracsim -exp fig10|fig11|fig12|fig13|fig14|table5|rfmpb|all
 //	         [-scale quick|full] [-workers N] [-serial]
-//	         [-store DIR|URL|auto|off] [-store-budget SIZE]
+//	         [-store DIR|auto|off] [-store-budget SIZE]
 //	         [-shard i/n [-shardout FILE]]
 //	         [-merge FILE,FILE,...] [-csvdir DIR]
 //	         [-dispatch N [-dispatch-cmd TEMPLATE]]
 //	         [-cpuprofile FILE] [-memprofile FILE]
-//	tpracsim -store-info|-store-prune [-store DIR|URL|auto]
+//	tpracsim -store-info|-store-prune [-store DIR|auto]
 //	tpracsim -pull http://host:8460 [-pull-token SECRET] [-pull-idle-exit 30s]
 //
 // -pull turns this process into a pull worker for a pracsimd experiment
@@ -50,11 +49,10 @@
 // result file, repeating until signaled (or until -pull-idle-exit of
 // queue silence). The daemon's lease carries the grid's experiments and
 // scale, so a pull worker needs no -exp/-scale of its own. -pull-token
-// defaults to $PRACSIMD_TOKEN, which the store client also sends; it
-// stays a flag because a dispatch child needs the fleet's queue token
-// while the environment carries the user's token for a remote store.
+// defaults to $PRACSIMD_TOKEN; a dispatch child gets the fleet's
+// per-run queue token through the flag.
 //
-// -store-budget bounds the local store tier's disk footprint (e.g.
+// -store-budget bounds the store's disk footprint (e.g.
 // 512MB): least-recently-accessed entries are evicted in the background
 // when a write pushes past it, and an evicted entry is an ordinary miss
 // — recomputed and usually re-published, never an error. Under
@@ -97,6 +95,10 @@ import (
 	"pracsim/internal/sim"
 )
 
+// tokenEnv is the default source of -pull-token, so the secret need not
+// appear in argv.
+const tokenEnv = "PRACSIMD_TOKEN"
+
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "tpracsim: "+format+"\n", args...)
 	os.Exit(1)
@@ -109,11 +111,9 @@ func main() {
 	serial := flag.Bool("serial", false, "force single-threaded execution (same results, for debugging)")
 	perCycle := flag.Bool("percycle", false, "tick every component every cycle instead of eliding idle cycles (same results, slower)")
 	differential := flag.Bool("differential", false, "run every simulation under both clockings and fail on any divergence")
-	storeMode := flag.String("store", "auto", "persistent run store: a directory, a pracsimd URL (http://host:port), 'auto' (user cache dir) or 'off'")
-	storeBudget := flag.String("store-budget", "", "disk budget for the local store tier, e.g. 512MB (default: unbounded); least-recently-accessed entries are evicted when a write pushes past it")
-	storeTimeout := flag.Duration("store-timeout", 10*time.Second, "per-attempt deadline for remote store requests")
-	storeRetries := flag.Int("store-retries", 3, "per-operation attempt budget for remote store requests (including the first)")
-	faults := flag.String("faults", os.Getenv(fault.EnvVar), "deterministic fault schedule, e.g. 'seed=7;store.http.get:err@0.2;dispatch.worker:kill@0.1' (chaos testing; also $"+fault.EnvVar+")")
+	storeMode := flag.String("store", "auto", "persistent run store: a directory, 'auto' (user cache dir) or 'off'")
+	storeBudget := flag.String("store-budget", "", "disk budget for the run store, e.g. 512MB (default: unbounded); least-recently-accessed entries are evicted when a write pushes past it")
+	faults := flag.String("faults", os.Getenv(fault.EnvVar), "deterministic fault schedule, e.g. 'seed=7;store.disk.get:err@0.2;dispatch.worker:kill@0.1' (chaos testing; also $"+fault.EnvVar+")")
 	storeInfo := flag.Bool("store-info", false, "print the store's entry count, bytes, age range and per-schema footprint, then exit")
 	storePrune := flag.Bool("store-prune", false, "delete entries from orphaned (non-current) schema versions, then exit")
 	shardArg := flag.String("shard", "", "execute only shard i/n of the run keys and write a shard file instead of reports")
@@ -123,7 +123,7 @@ func main() {
 	dispatchCmd := flag.String("dispatch-cmd", "", "child command template run via sh -c, with {args}/{slot}/{port} placeholders (default: re-exec this binary)")
 	csvDir := flag.String("csvdir", "", "directory to write CSV files into (optional)")
 	pullURL := flag.String("pull", "", "run as a pull worker for the pracsimd experiment service at this URL (leases and executes shard work items until signaled)")
-	pullToken := flag.String("pull-token", os.Getenv(store.TokenEnv), "bearer token for -pull (default $"+store.TokenEnv+")")
+	pullToken := flag.String("pull-token", os.Getenv(tokenEnv), "bearer token for -pull (default $"+tokenEnv+")")
 	pullIdleExit := flag.Duration("pull-idle-exit", 0, "with -pull: exit cleanly after this long without leased work (0 = run until signaled)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	memProfile := flag.String("memprofile", "", "at exit, write a memory profile of every allocation since start to this file")
@@ -169,22 +169,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tpracsim: -store-budget: %v\n", err)
 		os.Exit(2)
 	}
-	st, warn, err := store.Resolve(*storeMode, store.Options{
-		Disk: store.DiskOptions{BudgetBytes: storeBudgetBytes},
-		HTTP: store.HTTPOptions{
-			Timeout:  *storeTimeout,
-			Attempts: *storeRetries,
-		},
-	})
+	st, warn, err := store.Resolve(*storeMode, store.DiskOptions{BudgetBytes: storeBudgetBytes})
 	if warn != "" {
 		fmt.Fprintln(os.Stderr, "tpracsim: "+warn)
+	}
+	if errors.Is(err, store.ErrURLSpec) {
+		fmt.Fprintf(os.Stderr, "tpracsim: %v\n", err)
+		os.Exit(2)
 	}
 	if err != nil {
 		fatalf("%v", err)
 	}
 	if *storeInfo || *storePrune {
 		if st == nil {
-			fmt.Fprintln(os.Stderr, "tpracsim: -store-info/-store-prune need a store; pass -store DIR or -store http://host:port")
+			fmt.Fprintln(os.Stderr, "tpracsim: -store-info/-store-prune need a store; pass -store DIR")
 			os.Exit(2)
 		}
 		runStoreMaintenance(st, *storePrune, *storeInfo)
@@ -415,9 +413,7 @@ func runDispatch(ctx context.Context, session *exp.Runner, st *store.Store,
 	if err != nil {
 		return fmt.Errorf("resolving own binary for dispatch: %w", err)
 	}
-	// Children re-resolve the store spec themselves: a directory reopens
-	// the same disk store, a pracsimd URL gives every child its own
-	// local tier over the one shared server.
+	// Children reopen the same store directory.
 	storeSpec := "off"
 	if st != nil {
 		storeSpec = st.Spec()
@@ -462,17 +458,13 @@ func importWithRetry(session *exp.Runner, files []string) (n int, err error) {
 	return n, err
 }
 
-// runStoreMaintenance serves -store-info / -store-prune: the
-// maintenance surface works identically against a directory and a
-// pracsimd store server, because both sit behind the same Backend
-// interface.
-// Prune runs before info, so `-store-prune -store-info` shows the
-// after-state.
+// runStoreMaintenance serves -store-info / -store-prune. Prune runs
+// before info, so `-store-prune -store-info` shows the after-state.
 func runStoreMaintenance(st *store.Store, prune, info bool) {
-	b := st.Backend()
+	d := st.Disk()
 	if prune {
 		current := fmt.Sprintf("v%d", sim.SchemaVersion)
-		n, bytes, err := store.Prune(b, current)
+		n, bytes, err := store.Prune(d, current)
 		if err != nil {
 			fatalf("pruning %s: %v", st.Spec(), err)
 		}
@@ -480,7 +472,7 @@ func runStoreMaintenance(st *store.Store, prune, info bool) {
 			n, float64(bytes)/1024, current)
 	}
 	if info {
-		rep, err := store.Collect(b)
+		rep, err := store.Collect(d)
 		if err != nil {
 			fatalf("listing %s: %v", st.Spec(), err)
 		}

@@ -1,10 +1,8 @@
 package exp
 
 import (
-	"net/http/httptest"
 	"reflect"
 	"testing"
-	"time"
 
 	"pracsim/internal/exp/store"
 	"pracsim/internal/fault"
@@ -21,49 +19,51 @@ func enableFaults(t *testing.T, spec string) {
 	t.Cleanup(fault.Disable)
 }
 
-// TestChaosFaultySharedStoreBitIdentical is the storm half of the chaos
-// contract: a session reading through a misbehaving store server — truncated
-// and corrupted frames, injected 500s, client-side transport errors and
-// timeouts — must neither crash nor change a single output byte. Every
+// diskStorm faults every disk-store operation a session performs:
+// failed and bit-flipped reads, entries evicted under the reader, and
+// writes that hit a full or short-writing disk.
+const diskStorm = "seed=7;" +
+	"store.disk.evict:evict@0.3;store.disk.get:err@0.2;store.disk.get:corrupt@0.3;" +
+	"store.disk.put:enospc@0.3;store.disk.put:short@0.3"
+
+// TestChaosFaultyDiskStoreBitIdentical is the storm half of the chaos
+// contract: a session over a warm disk store whose reads fail, return
+// corrupt entries or lose entries to eviction, and whose writes hit a
+// full disk, must neither crash nor change a single output byte. Every
 // injected failure degrades to a recompute; the figures stay identical
-// to a session that never had a store.
-func TestChaosFaultySharedStoreBitIdentical(t *testing.T) {
-	reference := NewRunner(storeScale())
-	want, err := reference.Fig12()
+// to a session that never had a store, and each kind of damage shows in
+// the store's counters.
+func TestChaosFaultyDiskStoreBitIdentical(t *testing.T) {
+	// Three workloads give the storm 18 runs to land on; serial
+	// execution keeps the fault draws, and so the counters, reproducible.
+	serial := storeScale()
+	serial.Workloads = []string{"433.milc", "444.namd", "470.lbm"}
+	serial.Serial = true
+	want, err := NewRunner(serial).Fig12()
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	disk, err := store.OpenDisk(t.TempDir())
+	// Warm the store cleanly so the storm has real entries to damage.
+	dir := t.TempDir()
+	warmStore, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(store.NewFrameHandler(disk))
-	defer ts.Close()
-
-	// Warm the server cleanly so the storm has real frames to mangle.
-	warmBackend, err := store.OpenHTTP(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm := NewRunnerWith(storeScale(), SessionOptions{Store: store.NewStore(warmBackend)})
-	if _, err := warm.Fig12(); err != nil {
+	if _, err := NewRunnerWith(serial, SessionOptions{Store: warmStore}).Fig12(); err != nil {
 		t.Fatal(err)
 	}
 
-	enableFaults(t, "seed=7;"+
-		"server.get:trunc@0.3;server.get:corrupt@0.25;server.get:err@0.15;"+
-		"store.http.get:err@0.2;store.http.get:timeout@0.1;store.http.put:err@0.3")
-	backend, err := store.OpenHTTPWith(ts.URL, store.HTTPOptions{
-		Timeout:   2 * time.Second,
-		RetryBase: time.Millisecond,
-	})
+	// The budget is far above the grid's footprint: it only turns on
+	// the eviction counters the injected evictions feed.
+	enableFaults(t, diskStorm)
+	disk, err := store.OpenDiskWith(dir, store.DiskOptions{BudgetBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := store.NewStore(backend)
-	chaos := NewRunnerWith(storeScale(), SessionOptions{Store: front})
-	got, err := chaos.Fig12()
+	front := store.NewStore(disk)
+	front.Warn = func(string) {}
+	got, err := NewRunnerWith(serial, SessionOptions{Store: front}).Fig12()
 	if err != nil {
 		t.Fatalf("session under fault storm failed: %v", err)
 	}
@@ -77,9 +77,10 @@ func TestChaosFaultySharedStoreBitIdentical(t *testing.T) {
 		t.Error("fault-storm render/CSV not byte-identical to store-less run")
 	}
 	// The storm must be visible in the counters, not silently absorbed.
-	rs := front.Stats().Remote
-	if rs.Errors == 0 {
-		t.Errorf("injected remote failures left no trace in stats: %+v", rs)
+	st := front.Stats()
+	if st.Quarantined == 0 || st.WritesDropped == 0 || st.Eviction.Evicted == 0 {
+		t.Errorf("injected disk failures left no trace in stats: quarantined %d, writes dropped %d, evicted %d",
+			st.Quarantined, st.WritesDropped, st.Eviction.Evicted)
 	}
 }
 

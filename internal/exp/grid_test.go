@@ -49,7 +49,7 @@ func TestGridKeysMatchSession(t *testing.T) {
 				t.Fatalf("running %s: %v", name, err)
 			}
 			var got []string
-			err = store.ListEach(st.Backend(), func(info store.Info) error {
+			err = st.Disk().ListEach(func(info store.Info) error {
 				got = append(got, info.Key)
 				return nil
 			})

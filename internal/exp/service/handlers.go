@@ -55,10 +55,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fireDelay(act, r)
-	var spec GridSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeGridSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
 		http.Error(w, "bad grid spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -99,7 +97,7 @@ func (s *Server) Submit(token string, spec GridSpec) (JobStatus, error) {
 	// (re-)execution. Shard slices owning no cold key enqueue nothing.
 	cold := make([]string, 0, len(keys))
 	for _, k := range keys {
-		if _, serr := s.store.Backend().Stat(k); serr != nil {
+		if _, serr := s.disk.Stat(k); serr != nil {
 			cold = append(cold, k)
 		}
 	}
@@ -367,7 +365,7 @@ func (s *Server) importShardFile(path string) int {
 	}
 	n := 0
 	for _, e := range entries {
-		if _, serr := s.store.Backend().Stat(e.Key); serr == nil {
+		if _, serr := s.disk.Stat(e.Key); serr == nil {
 			continue
 		}
 		if s.store.Put(e.Key, e.Payload) == nil {

@@ -18,12 +18,6 @@
 // session assembles the figures/tables from the fully-warm store into
 // per-job CSVs.
 //
-// The daemon also serves its store over the wire: the run store's frame
-// API (store.FrameRoutes) is mounted next to the job API under the same
-// tenant tokens, so a tpracsim or pracleak anywhere can point -store at
-// the daemon and read through — or publish into — the very store that
-// deduplicates submissions.
-//
 // Every submission, lease grant and ack is journaled (queue.journal
 // under Dir, with job/lease/ack records), so a SIGKILLed daemon resumes
 // its queue with zero re-executed runs: acked items are adopted, unacked
@@ -43,11 +37,6 @@
 //	POST   /v1/lease/{id}/heartbeat      keep a lease alive
 //	POST   /v1/lease/{id}/ack?executed=N deliver a shard result file
 //	POST   /v1/lease/{id}/fail           release a lease after a worker error
-//	GET    /v1/e/{hash}                  fetch a store frame (404 on miss)
-//	PUT    /v1/e/{hash}                  validate + publish a store frame
-//	DELETE /v1/e/{hash}                  remove a store entry
-//	GET    /v1/stat/{hash}               store entry metadata as JSON
-//	GET    /v1/list                      all store entries as JSON
 //	GET    /healthz                      liveness (no auth)
 //	GET    /metrics                      Prometheus-style metrics (no auth)
 package service
@@ -77,8 +66,8 @@ const queueFingerprint = "pracsimd/queue/1"
 
 // Options configures the daemon.
 type Options struct {
-	// Dir is the daemon's data directory: store/ (the run store, dedup
-	// oracle and the store routes' backing), queue.journal, and
+	// Dir is the daemon's data directory: store/ (the run store and
+	// dedup oracle), queue.journal, and
 	// jobs/{id}/ (acked shard files and result CSVs). Required.
 	Dir string
 	// Budget caps the store's disk footprint in bytes; a write past it
@@ -110,7 +99,6 @@ type Server struct {
 	opts    Options
 	store   *store.Store
 	disk    *store.Disk
-	frames  *store.FrameHandler
 	journal *journal.Journal
 	queue   *Queue
 	tokens  *httpd.Tokens
@@ -160,7 +148,6 @@ func New(opts Options) (*Server, RestoreSummary, error) {
 		opts:        opts,
 		store:       store.NewStore(disk),
 		disk:        disk,
-		frames:      store.NewFrameHandler(disk),
 		journal:     jl,
 		queue:       q,
 		tokens:      httpd.ParseTokens(opts.Tokens),
@@ -181,9 +168,6 @@ func New(opts Options) (*Server, RestoreSummary, error) {
 	s.mux.Handle("POST /v1/lease/{id}/heartbeat", s.route("heartbeat", s.handleHeartbeat))
 	s.mux.Handle("POST /v1/lease/{id}/ack", s.route("ack", s.handleAck))
 	s.mux.Handle("POST /v1/lease/{id}/fail", s.route("fail", s.handleFail))
-	for _, r := range store.FrameRoutes {
-		s.mux.Handle(r.Pattern, s.route("store_"+r.Name, s.frames.ServeHTTP))
-	}
 	return s, sum, nil
 }
 
@@ -275,12 +259,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("pracsimd_leased", "Work items currently leased.", float64(d.Leased))
 	gauge("pracsimd_active_jobs", "Jobs not yet in a terminal state.", float64(d.ActiveJobs))
 	gauge("pracsimd_uptime_seconds", "Seconds since the daemon started.", time.Since(s.start).Seconds())
-	f := s.frames.Stats()
-	counter("pracsimd_store_hits_total", "Store-route GETs served a frame.", f.Hits)
-	counter("pracsimd_store_misses_total", "Store-route GETs with no entry.", f.Misses)
-	counter("pracsimd_store_put_rejects_total", "Store-route PUTs rejected by frame validation.", f.PutRejects)
-	counter("pracsimd_store_bytes_in_total", "Payload bytes accepted by store-route PUTs.", f.BytesIn)
-	counter("pracsimd_store_bytes_out_total", "Frame bytes served by store-route GETs.", f.BytesOut)
 	if entries, bytes, err := s.disk.Footprint(); err == nil {
 		gauge("pracsimd_store_entries", "Entry files in the store.", float64(entries))
 		gauge("pracsimd_store_bytes", "Entry file bytes in the store.", float64(bytes))

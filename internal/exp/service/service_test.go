@@ -132,10 +132,42 @@ func TestServiceSubmitValidation(t *testing.T) {
 		{"shards out of range", `{"exps":["fig12"],"scale":"tiny","shards":999}`},
 		{"priority out of range", `{"exps":["fig12"],"scale":"tiny","priority":9}`},
 		{"unknown field", `{"exps":["fig12"],"scale":"tiny","bogus":1}`},
+		{"trailing bytes", `{"exps":["fig12"],"scale":"tiny"}garbage`},
+		{"two specs", `{"exps":["fig12"],"scale":"tiny"} {"exps":["fig10"],"scale":"tiny"}`},
 	}
 	for _, tc := range cases {
 		if got := statusOf(t, roundTrip(t, "POST", d.ts.URL+"/v1/jobs", "alice", tc.body)); got != http.StatusBadRequest {
 			t.Errorf("%s: %d, want 400", tc.name, got)
+		}
+	}
+}
+
+// TestStoreMetrics: /metrics reports the daemon's store as disk
+// gauges — entries, bytes and, with a budget set, the lifecycle series
+// — and nothing about a network store surface, which pracsimd does not
+// serve.
+func TestStoreMetrics(t *testing.T) {
+	d := startDaemon(t, Options{Dir: t.TempDir(), Budget: 16 << 10})
+	if err := d.svc.store.Put("pracsim/run/v3/m", []byte("metric payload")); err != nil {
+		t.Fatal(err)
+	}
+	resp := roundTrip(t, "GET", d.ts.URL+"/metrics", "", "")
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	metrics := string(body)
+	for _, want := range []string{
+		"\npracsimd_store_entries 1\n",
+		"\npracsimd_store_bytes ",
+		"\npracsimd_store_evicted_total 0\n",
+		"\npracsimd_store_budget_bytes 16384\n",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %q", strings.TrimSpace(want))
+		}
+	}
+	for _, gone := range []string{"pracsimd_store_hits_total", `endpoint="store_get"`} {
+		if strings.Contains(metrics, gone) {
+			t.Errorf("metrics still report %q", gone)
 		}
 	}
 }

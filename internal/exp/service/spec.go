@@ -2,7 +2,9 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 
 	"pracsim/internal/exp"
 )
@@ -66,6 +68,21 @@ func (g *GridSpec) normalize(scales map[string]exp.Scale) (exps []string, scale 
 		return nil, exp.Scale{}, fmt.Errorf("service: priority %d out of range %d..%d (high..low)", g.Priority, PriorityHigh, PriorityLow)
 	}
 	return exps, scale, nil
+}
+
+// decodeGridSpec reads a submitted grid spec: exactly one JSON object
+// with no unknown fields, followed by nothing but whitespace.
+func decodeGridSpec(r io.Reader) (GridSpec, error) {
+	var g GridSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&g); err != nil {
+		return GridSpec{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return GridSpec{}, errors.New("trailing data after the grid spec")
+	}
+	return g, nil
 }
 
 // encode renders the spec for the journal's job record.

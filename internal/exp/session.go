@@ -151,14 +151,13 @@ func (s *Runner) ImportShards(paths ...string) (int, error) {
 		s.r.mu.Unlock()
 		if s.r.store != nil {
 			for _, e := range entries {
-				// Stat-before-Put: a dispatched fleet's workers usually
-				// resolved these runs *from* this very store, and a
-				// remote Put re-uploads the whole grid the fleet just
-				// downloaded. A cheap existence probe (header-only on
-				// disk, one small request over HTTP) keeps the
-				// fully-warm merge off the write path; anything absent
-				// or implausible still writes through.
-				if _, serr := s.r.store.Backend().Stat(e.Key); serr == nil {
+				// Stat-before-Put: a dispatched fleet's children wrote
+				// these runs into this very store, so rewriting them
+				// would copy the whole grid file by file. A header-only
+				// existence probe keeps the fully-warm merge off the
+				// write path; anything absent or implausible still
+				// writes through.
+				if _, serr := s.r.store.Disk().Stat(e.Key); serr == nil {
 					continue
 				}
 				_ = s.r.store.Put(e.Key, e.Payload)

@@ -3,13 +3,14 @@
 package exp
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"pracsim/internal/exp/store"
+	"pracsim/internal/fault"
 )
 
 // sessionEnv names the store directory when this test binary is re-exec'd
@@ -27,30 +28,24 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// stallingBackend passes the first puts through and then blocks every
-// put until the process is killed.
-type stallingBackend struct {
-	store.Backend
-	left atomic.Int64
-}
-
-func (b *stallingBackend) Put(key string, payload []byte) error {
-	if b.left.Add(-1) < 0 {
-		time.Sleep(time.Hour)
-	}
-	return b.Backend.Put(key, payload)
-}
+// stallAfterPuts lets the first killAfterPuts disk writes through (a
+// zero delay) and then stalls every further write for an hour, so the
+// kill lands mid-grid.
+var stallAfterPuts = fmt.Sprintf("%[1]s:delay=0sx%[2]d;%[1]s:delay=1h", fault.StoreDiskPut, killAfterPuts)
 
 // sessionChildMain runs Fig12 at storeScale over the store at dir, the
 // way `tpracsim -exp fig12 -store DIR` does, until it is killed.
 func sessionChildMain(dir string) int {
-	d, err := store.OpenDisk(dir)
+	p, err := fault.Parse(stallAfterPuts)
 	if err != nil {
 		return 2
 	}
-	b := &stallingBackend{Backend: d}
-	b.left.Store(killAfterPuts)
-	if _, err := NewRunnerWith(storeScale(), SessionOptions{Store: store.NewStore(b)}).Run("fig12"); err != nil {
+	fault.Enable(p)
+	st, err := store.Open(dir)
+	if err != nil {
+		return 2
+	}
+	if _, err := NewRunnerWith(storeScale(), SessionOptions{Store: st}).Run("fig12"); err != nil {
 		return 1
 	}
 	return 0

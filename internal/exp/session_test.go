@@ -2,8 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -395,134 +393,6 @@ func TestMemoRoundTrip(t *testing.T) {
 	}
 	if _, err := Memo(nil, "fig3/test", fn); err != nil || calls != 2 {
 		t.Errorf("nil store should run fn directly (calls=%d, err=%v)", calls, err)
-	}
-}
-
-// newRemoteStore spins a frame server over a fresh directory and
-// returns a factory for pure-HTTP store fronts against it (no local
-// tier, so every access crosses the wire) plus the server handle.
-func newRemoteStore(t *testing.T) (func() *store.Store, *httptest.Server) {
-	t.Helper()
-	disk, err := store.OpenDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(store.NewFrameHandler(disk))
-	t.Cleanup(ts.Close)
-	return func() *store.Store {
-		h, err := store.OpenHTTP(ts.URL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return store.NewStore(h)
-	}, ts
-}
-
-// TestRemoteStoreWarmSessionExecutesNothing is the fleet contract at the
-// session level: a cold session warms a store server, and a second
-// session on a "different machine" (fresh client, no local state)
-// executes zero simulations with bit-identical figures.
-func TestRemoteStoreWarmSessionExecutesNothing(t *testing.T) {
-	newStore, _ := newRemoteStore(t)
-
-	cold := NewRunnerWith(storeScale(), SessionOptions{Store: newStore()})
-	first, err := cold.Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cold.Executed() == 0 {
-		t.Fatal("cold session executed nothing")
-	}
-
-	warm := NewRunnerWith(storeScale(), SessionOptions{Store: newStore()})
-	second, err := warm.Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := warm.Executed(); n != 0 {
-		t.Errorf("warm remote session executed %d simulations, want 0", n)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Errorf("warm results differ:\ncold: %+v\nwarm: %+v", first, second)
-	}
-	if first.Render() != second.Render() || first.CSV() != second.CSV() {
-		t.Error("warm render/CSV not byte-identical to cold")
-	}
-	st := warm.StoreStats()
-	if st.Remote.Hits == 0 || st.Remote.Errors != 0 {
-		t.Errorf("warm remote stats = %+v, want hits and no errors", st.Remote)
-	}
-	if !strings.Contains(warm.TelemetryReport(0), "remote: ") {
-		t.Error("telemetry report missing the remote traffic")
-	}
-}
-
-// TestDeadRemoteStoreDegradesToRecompute is the acceptance contract for
-// a mid-campaign server death: a session whose store points at a dead
-// server recomputes everything locally and produces figures identical
-// to a store-less run — never an error, never a changed figure.
-func TestDeadRemoteStoreDegradesToRecompute(t *testing.T) {
-	newStore, ts := newRemoteStore(t)
-	dead := newStore()
-	ts.Close() // the server dies before (equivalently: during) the sweep
-
-	sess := NewRunnerWith(storeScale(), SessionOptions{Store: dead})
-	got, err := sess.Fig12()
-	if err != nil {
-		t.Fatalf("dead server broke the session: %v", err)
-	}
-	ref := NewRunner(storeScale())
-	want, err := ref.Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("degraded figures differ:\ngot:  %+v\nwant: %+v", got, want)
-	}
-	if sess.Executed() != ref.Executed() {
-		t.Errorf("degraded session executed %d, reference %d", sess.Executed(), ref.Executed())
-	}
-	st := sess.StoreStats()
-	if st.Hits != 0 || st.Misses == 0 || st.Remote.Errors == 0 {
-		t.Errorf("degraded stats = %+v, want all misses and remote errors", st)
-	}
-}
-
-// TestCorruptRemoteStoreDegradesToRecompute: a server returning
-// corrupted frames (bit rot, a proxy mangling bodies) must cost
-// recomputes, not correctness — the client checksum end of the
-// both-ends verification contract.
-func TestCorruptRemoteStoreDegradesToRecompute(t *testing.T) {
-	corrupting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPut {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		frame := store.EncodeFrame("pracsim/run/v0/not-what-you-asked-for", []byte("garbage"))
-		frame[len(frame)-1] ^= 1
-		w.Write(frame)
-	}))
-	defer corrupting.Close()
-	h, err := store.OpenHTTP(corrupting.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sess := NewRunnerWith(storeScale(), SessionOptions{Store: store.NewStore(h)})
-	got, err := sess.Fig12()
-	if err != nil {
-		t.Fatalf("corrupting server broke the session: %v", err)
-	}
-	ref := NewRunner(storeScale())
-	want, err := ref.Fig12()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("corrupt-server figures differ from the reference")
-	}
-	if st := sess.StoreStats(); st.Hits != 0 || st.Remote.Errors == 0 {
-		t.Errorf("stats = %+v, want zero hits and remote errors", st)
 	}
 }
 

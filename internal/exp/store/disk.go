@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -21,8 +20,7 @@ import (
 const magic = "pracstore1\n"
 
 // EncodeFrame frames a (key, payload) pair into the self-validating
-// entry format shared by the disk files and the wire protocol of the
-// pracsimd store routes:
+// entry-file format:
 //
 //	magic | keyLen uvarint | key | payloadLen uvarint | payload | sha256(payload)
 func EncodeFrame(key string, payload []byte) []byte {
@@ -76,8 +74,8 @@ func parseFrameHeader(data []byte) (key string, payLen uint64, headerLen int, er
 }
 
 // DecodeFrameAny validates a framed entry without an expected key and
-// returns the key it carries alongside the payload — the server's PUT
-// validation, which learns the key from the frame itself.
+// returns the key it carries alongside the payload — List's validation,
+// which learns each key from the file itself.
 func DecodeFrameAny(data []byte) (key string, payload []byte, err error) {
 	key, payLen, headerLen, err := parseFrameHeader(data)
 	if err != nil {
@@ -101,8 +99,7 @@ func DecodeFrameAny(data []byte) (key string, payload []byte, err error) {
 // key, named by the key's hash. Writes go through a temp file and an
 // atomic rename, so concurrent writers (even across processes sharing
 // one store directory) only ever publish complete, self-validating
-// entries. The on-disk format predates the Backend split and is
-// unchanged: stores written by earlier releases read back as-is.
+// entries. Stores written by earlier releases read back as-is.
 type Disk struct {
 	dir string
 
@@ -191,9 +188,6 @@ func (d *Disk) TmpSwept() int64 { return d.tmpSwept.Load() }
 // Dir reports the backend's root directory.
 func (d *Disk) Dir() string { return d.dir }
 
-// Spec reports the -store argument that reopens this backend.
-func (d *Disk) Spec() string { return d.dir }
-
 func (d *Disk) path(key string) string { return d.hashPath(Hash(key)) }
 
 func (d *Disk) hashPath(hash string) string {
@@ -263,6 +257,8 @@ func (d *Disk) Put(key string, payload []byte) error {
 			return fmt.Errorf("store: put %s: injected %w", d.dir, io.ErrShortWrite)
 		case fault.Err:
 			return a.Err("put " + d.dir)
+		case fault.Delay:
+			time.Sleep(a.Value)
 		}
 	}
 	hash := Hash(key)
@@ -400,7 +396,19 @@ func (d *Disk) ListEach(fn func(Info) error) error {
 }
 
 // Delete removes the entry under key.
-func (d *Disk) Delete(key string) error { return d.DeleteFrame(Hash(key)) }
+func (d *Disk) Delete(key string) error {
+	hash := Hash(key)
+	//praclint:allow failpoint eviction deletes are exercised through the store.disk.evict failpoint on the sweep path; a direct delete error surfaces to the caller unchanged
+	err := os.Remove(d.hashPath(hash))
+	if os.IsNotExist(err) {
+		return ErrNotFound
+	}
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	d.lcForget(hash)
+	return nil
+}
 
 // Footprint reports the directory's raw entry count and file bytes
 // without validating entries — cheap enough for a metrics scrape.
@@ -422,72 +430,6 @@ func (d *Disk) Footprint() (entries int, bytes int64, err error) {
 		bytes += fi.Size()
 	}
 	return entries, bytes, nil
-}
-
-// GetFrame returns the raw framed entry stored under a content hash —
-// the read path of the pracsimd store routes, which serve frames
-// without knowing keys.
-func (d *Disk) GetFrame(hash string) ([]byte, time.Time, error) {
-	if a := fault.Fire(fault.StoreDiskEvict); a != nil && a.Kind == fault.Evict {
-		d.injectEvict(hash)
-	}
-	path := d.hashPath(hash)
-	d.lcPin(hash)
-	defer d.lcUnpin(hash)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, time.Time{}, ErrNotFound
-		}
-		return nil, time.Time{}, fmt.Errorf("store: %w", err)
-	}
-	mtime := time.Time{}
-	if fi, err := os.Stat(path); err == nil {
-		mtime = fi.ModTime()
-	}
-	d.lcTouchGet(hash)
-	return data, mtime, nil
-}
-
-// ErrBadFrame wraps PutFrame's validation failures, so callers (the PUT
-// handler of the pracsimd store routes) can blame the uploader (HTTP
-// 400) for a bad frame and the storage (HTTP 500) for everything else.
-var ErrBadFrame = errors.New("store: invalid frame")
-
-// PutFrame validates a raw framed entry and atomically publishes it
-// under hash — the write path of the pracsimd store routes. The frame
-// must decode cleanly (magic, lengths, payload checksum) and its
-// embedded key must actually hash to the claimed address; anything else
-// reports ErrBadFrame before a byte lands in the store.
-func (d *Disk) PutFrame(hash string, frame []byte) (key string, payloadLen int, err error) {
-	key, payload, err := DecodeFrameAny(frame)
-	if err != nil {
-		return "", 0, fmt.Errorf("%w: %v", ErrBadFrame, err)
-	}
-	if Hash(key) != hash {
-		return "", 0, fmt.Errorf("%w: frame key hashes to %s, not the addressed %s", ErrBadFrame, Hash(key), hash)
-	}
-	d.lcPin(hash)
-	defer d.lcUnpin(hash)
-	if err := d.writeAtomic(d.hashPath(hash), frame); err != nil {
-		return "", 0, err
-	}
-	d.lcTouchPut(hash, int64(len(frame)))
-	return key, len(payload), nil
-}
-
-// DeleteFrame removes the entry under a content hash.
-func (d *Disk) DeleteFrame(hash string) error {
-	//praclint:allow failpoint eviction deletes are exercised through the store.disk.evict failpoint on the sweep path; a direct delete error surfaces to the caller unchanged
-	err := os.Remove(d.hashPath(hash))
-	if os.IsNotExist(err) {
-		return ErrNotFound
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	d.lcForget(hash)
-	return nil
 }
 
 // writeAtomic publishes data at path via a temp file in the store

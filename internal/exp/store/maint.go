@@ -30,7 +30,7 @@ type SchemaFootprint struct {
 }
 
 // InfoReport summarizes a store's contents — what `tpracsim -store-info`
-// prints for disk and remote backends alike.
+// prints.
 type InfoReport struct {
 	Spec           string
 	Entries        int
@@ -39,14 +39,14 @@ type InfoReport struct {
 	Schemas        []SchemaFootprint
 }
 
-// Collect walks a backend and aggregates the maintenance summary. The
-// walk streams (ListEach) and the aggregation is incremental, so
+// Collect walks a disk store and aggregates the maintenance summary.
+// The walk streams (ListEach) and the aggregation is incremental, so
 // summarizing a million-entry store holds one Info plus the per-schema
 // totals in memory, never the full listing.
-func Collect(b Backend) (InfoReport, error) {
-	rep := InfoReport{Spec: b.Spec()}
+func Collect(d *Disk) (InfoReport, error) {
+	rep := InfoReport{Spec: d.Dir()}
 	bySchema := map[string]*SchemaFootprint{}
-	err := ListEach(b, func(info Info) error {
+	err := d.ListEach(func(info Info) error {
 		rep.Entries++
 		rep.Bytes += info.Size
 		if rep.Oldest.IsZero() || info.ModTime.Before(rep.Oldest) {
@@ -141,15 +141,15 @@ func (r InfoReport) Render() string {
 // current (e.g. "v3") — the orphans a schema bump leaves behind, which
 // no future run can ever hit. Unrecognized keys are left alone: deleting
 // what we cannot classify is how caches eat data. Entries that vanish
-// mid-prune (a concurrent prune, a remote eviction) are counted as
+// mid-prune (a concurrent prune, a budget eviction) are counted as
 // already gone, not failures.
-func Prune(b Backend, current string) (pruned int, bytes int64, err error) {
-	err = ListEach(b, func(info Info) error {
+func Prune(d *Disk, current string) (pruned int, bytes int64, err error) {
+	err = d.ListEach(func(info Info) error {
 		schema := KeySchema(info.Key)
 		if schema == "?" || schema == current {
 			return nil
 		}
-		if derr := b.Delete(info.Key); derr != nil && derr != ErrNotFound {
+		if derr := d.Delete(info.Key); derr != nil && derr != ErrNotFound {
 			return derr
 		}
 		pruned++

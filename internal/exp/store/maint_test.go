@@ -1,7 +1,6 @@
 package store_test
 
 import (
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -24,10 +23,14 @@ func TestKeySchema(t *testing.T) {
 	}
 }
 
-// seedSchemas fills a backend with entries across schema versions plus
-// one unclassifiable key.
-func seedSchemas(t *testing.T, b store.Backend) {
-	t.Helper()
+// TestMaintenanceOnDisk: -store-info and -store-prune semantics against
+// a directory holding entries across schema versions plus one
+// unclassifiable key.
+func TestMaintenanceOnDisk(t *testing.T) {
+	d, err := store.OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	entries := map[string]int{
 		"pracsim/run/v3/a": 10,
 		"pracsim/run/v3/b": 20,
@@ -37,15 +40,11 @@ func seedSchemas(t *testing.T, b store.Backend) {
 		"foreign/key":      60,
 	}
 	for key, size := range entries {
-		if err := b.Put(key, make([]byte, size)); err != nil {
+		if err := d.Put(key, make([]byte, size)); err != nil {
 			t.Fatal(err)
 		}
 	}
-}
-
-func checkMaintenance(t *testing.T, b store.Backend) {
-	t.Helper()
-	rep, err := store.Collect(b)
+	rep, err := store.Collect(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +74,14 @@ func checkMaintenance(t *testing.T, b store.Backend) {
 
 	// Prune keeps the current schema and what it cannot classify;
 	// orphaned versions go.
-	pruned, bytes, err := store.Prune(b, "v3")
+	pruned, bytes, err := store.Prune(d, "v3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pruned != 2 || bytes != 90 {
 		t.Errorf("Prune = %d entries, %d bytes; want 2, 90", pruned, bytes)
 	}
-	rep, err = store.Collect(b)
+	rep, err = store.Collect(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,43 +94,8 @@ func checkMaintenance(t *testing.T, b store.Backend) {
 		}
 	}
 	// Idempotent: a second prune finds nothing.
-	if pruned, _, err := store.Prune(b, "v3"); err != nil || pruned != 0 {
+	if pruned, _, err := store.Prune(d, "v3"); err != nil || pruned != 0 {
 		t.Errorf("second Prune = %d, %v; want 0", pruned, err)
-	}
-}
-
-// TestMaintenanceOnDisk: -store-info and -store-prune semantics against
-// a directory.
-func TestMaintenanceOnDisk(t *testing.T) {
-	d := disk(t)
-	seedSchemas(t, d)
-	checkMaintenance(t, d)
-}
-
-// TestMaintenanceOverHTTP: the identical maintenance pass against a
-// frame server — the satellite contract that both backends share
-// one maintenance surface.
-func TestMaintenanceOverHTTP(t *testing.T) {
-	remoteDisk := disk(t)
-	ts := httptest.NewServer(store.NewFrameHandler(remoteDisk))
-	defer ts.Close()
-	h := httpClient(t, ts.URL)
-	seedSchemas(t, h)
-	checkMaintenance(t, h)
-}
-
-// TestMaintenanceOverTiered: a tiered backend lists and prunes the
-// authoritative remote, and pruning clears local copies too.
-func TestMaintenanceOverTiered(t *testing.T) {
-	remoteDisk := disk(t)
-	ts := httptest.NewServer(store.NewFrameHandler(remoteDisk))
-	defer ts.Close()
-	local := disk(t)
-	tiered := store.NewTiered(local, httpClient(t, ts.URL))
-	seedSchemas(t, tiered)
-	checkMaintenance(t, tiered)
-	if _, err := local.Get("pracsim/run/v2/d"); err != store.ErrNotFound {
-		t.Errorf("pruned entry survives in the local tier: %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,17 +22,6 @@ func open(t *testing.T) *Store {
 		t.Fatal(err)
 	}
 	return s
-}
-
-// diskOf reaches through the Store front to its disk backend, for tests
-// that corrupt entry files in place.
-func diskOf(t *testing.T, s *Store) *Disk {
-	t.Helper()
-	d, ok := s.Backend().(*Disk)
-	if !ok {
-		t.Fatalf("backend is %T, want *Disk", s.Backend())
-	}
-	return d
 }
 
 func TestPutGetRoundTrip(t *testing.T) {
@@ -88,7 +78,7 @@ func TestCorruptEntryIsAMiss(t *testing.T) {
 	if err := s.Put("k", payload); err != nil {
 		t.Fatal(err)
 	}
-	path := diskOf(t, s).path("k")
+	path := s.Disk().path("k")
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +124,7 @@ func TestCraftedLengthIsAMissNotAPanic(t *testing.T) {
 	frame.WriteString("k")
 	frame.Write(lenbuf[:binary.PutUvarint(lenbuf[:], ^uint64(31))])
 	frame.WriteString("short")
-	if err := os.WriteFile(diskOf(t, s).path("k"), frame.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(s.Disk().path("k"), frame.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := s.Get("k"); ok {
@@ -143,75 +133,39 @@ func TestCraftedLengthIsAMissNotAPanic(t *testing.T) {
 }
 
 // TestResolve pins the CLI flag resolution shared by the cmd
-// binaries: off modes, explicit directories, and remote URLs all route
-// through the one entry point.
+// binaries: off modes and explicit directories route through the one
+// entry point.
 func TestResolve(t *testing.T) {
 	for _, mode := range []string{"off", "none", ""} {
-		st, warn, err := Resolve(mode, Options{})
+		st, warn, err := Resolve(mode, DiskOptions{})
 		if st != nil || warn != "" || err != nil {
 			t.Errorf("Resolve(%q) = %v, %q, %v; want nil store", mode, st, warn, err)
 		}
 	}
 	dir := t.TempDir()
-	st, warn, err := Resolve(dir, Options{})
-	if err != nil || warn != "" || st == nil || st.Spec() != dir {
+	st, warn, err := Resolve(dir, DiskOptions{})
+	if err != nil || warn != "" || st == nil || st.Spec() != dir || st.Disk().Dir() != dir {
 		t.Errorf("Resolve(dir) = %v, %q, %v", st, warn, err)
-	}
-	if _, ok := st.Backend().(*Disk); !ok {
-		t.Errorf("Resolve(dir) backend is %T, want *Disk", st.Backend())
 	}
 }
 
-// TestResolveRemote: an http:// spec resolves to a tiered store
-// (local read-through cache over the remote) whose Spec is the server
-// URL — what dispatch forwards to fleet workers. Without a usable cache
-// directory it degrades to a pure remote with a warning; a malformed URL
-// fails hard, like any explicitly named location.
+// TestResolveRemote: a URL spec is not a directory name. Resolve
+// rejects it with ErrURLSpec, whose message points at pracsimd's job
+// queue, and creates nothing on disk — not even a directory named
+// "http:".
 func TestResolveRemote(t *testing.T) {
-	t.Setenv("XDG_CACHE_HOME", t.TempDir())
-	const url = "http://127.0.0.1:59999"
-	st, warn, err := Resolve(url, Options{})
-	if err != nil || warn != "" || st == nil {
-		t.Fatalf("Resolve(url) = %v, %q, %v", st, warn, err)
+	t.Chdir(t.TempDir())
+	for _, spec := range []string{"http://127.0.0.1:8460", "https://build-0:8460/", "http://x"} {
+		st, warn, err := Resolve(spec, DiskOptions{})
+		if st != nil || warn != "" || !errors.Is(err, ErrURLSpec) {
+			t.Errorf("Resolve(%q) = %v, %q, %v; want ErrURLSpec", spec, st, warn, err)
+		}
 	}
-	if st.Spec() != url {
-		t.Errorf("tiered Spec = %q, want the server URL %q", st.Spec(), url)
+	if err := fmt.Sprint(ErrURLSpec); !strings.Contains(err, "pracsimd") || !strings.Contains(err, "tpracsim -pull") {
+		t.Errorf("ErrURLSpec does not point at the job queue: %q", err)
 	}
-	tiered, ok := st.Backend().(*Tiered)
-	if !ok {
-		t.Fatalf("backend is %T, want *Tiered", st.Backend())
-	}
-	if _, ok := tiered.Local().(*Disk); !ok {
-		t.Errorf("tiered local leg is %T, want *Disk", tiered.Local())
-	}
-	if _, ok := tiered.Remote().(*HTTP); !ok {
-		t.Errorf("tiered remote leg is %T, want *HTTP", tiered.Remote())
-	}
-
-	// Two different servers must not share one local tier.
-	st2, _, err := Resolve("http://127.0.0.1:59998", Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := tiered.Local().Spec(), st2.Backend().(*Tiered).Local().Spec(); a == b {
-		t.Errorf("two remotes share the local tier %q", a)
-	}
-
-	t.Setenv("HOME", "")
-	t.Setenv("XDG_CACHE_HOME", "")
-	st, warn, err = Resolve(url, Options{})
-	if err != nil || st == nil {
-		t.Fatalf("Resolve(url) without cache dir = %v, %q, %v", st, warn, err)
-	}
-	if _, ok := st.Backend().(*HTTP); !ok {
-		t.Errorf("degraded backend is %T, want pure *HTTP", st.Backend())
-	}
-	if !strings.Contains(warn, "read-through cache disabled") {
-		t.Errorf("degraded remote warning unhelpful: %q", warn)
-	}
-
-	if _, _, err := Resolve("http://", Options{}); err == nil {
-		t.Error("malformed URL accepted")
+	if entries, err := os.ReadDir("."); err != nil || len(entries) != 0 {
+		t.Errorf("rejected URL specs left %v (%v) behind", entries, err)
 	}
 }
 
@@ -222,7 +176,7 @@ func TestResolveRemote(t *testing.T) {
 func TestResolveAutoDegradesToOff(t *testing.T) {
 	t.Setenv("HOME", "")
 	t.Setenv("XDG_CACHE_HOME", "")
-	st, warn, err := Resolve("auto", Options{})
+	st, warn, err := Resolve("auto", DiskOptions{})
 	if err != nil {
 		t.Fatalf("Resolve(auto) hard-failed without a cache dir: %v", err)
 	}
@@ -238,7 +192,7 @@ func TestResolveAutoDegradesToOff(t *testing.T) {
 	if werr := os.WriteFile(bad, []byte("file in the way"), 0o644); werr != nil {
 		t.Fatal(werr)
 	}
-	if _, _, err := Resolve(filepath.Join(bad, "sub"), Options{}); err == nil {
+	if _, _, err := Resolve(filepath.Join(bad, "sub"), DiskOptions{}); err == nil {
 		t.Error("Resolve(explicit unusable dir) did not fail")
 	}
 }
@@ -252,11 +206,11 @@ func TestKeyMismatchIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Copy other-key's entry file to where "wanted-key" would live.
-	data, err := os.ReadFile(diskOf(t, s).path("other-key"))
+	data, err := os.ReadFile(s.Disk().path("other-key"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(diskOf(t, s).path("wanted-key"), data, 0o644); err != nil {
+	if err := os.WriteFile(s.Disk().path("wanted-key"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := s.Get("wanted-key"); ok {
@@ -363,7 +317,7 @@ func TestConcurrentSameKeyPutOneAtomicWinner(t *testing.T) {
 		}
 	}
 	// The losers' temp files must not accumulate.
-	entries, err := os.ReadDir(diskOf(t, s).Dir())
+	entries, err := os.ReadDir(s.Disk().Dir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,12 +328,12 @@ func TestConcurrentSameKeyPutOneAtomicWinner(t *testing.T) {
 	}
 }
 
-// TestDiskBackendSurface covers the maintenance half of the Backend
-// interface on disk: Stat, List and Delete over validated entries, with
-// corrupt and foreign files skipped rather than listed.
+// TestDiskBackendSurface covers the disk's maintenance surface: Stat,
+// List and Delete over validated entries, with corrupt and foreign files
+// skipped rather than listed.
 func TestDiskBackendSurface(t *testing.T) {
 	s := open(t)
-	d := diskOf(t, s)
+	d := s.Disk()
 	keys := []string{"pracsim/run/v3/a", "pracsim/run/v3/b", "pracsim/exp/v2/c"}
 	for i, k := range keys {
 		if err := s.Put(k, bytes.Repeat([]byte{byte(i + 1)}, 10*(i+1))); err != nil {
@@ -431,7 +385,7 @@ func TestDiskBackendSurface(t *testing.T) {
 // look like a present entry to Stat-before-Put callers.
 func TestStatRejectsTruncatedEntry(t *testing.T) {
 	s := open(t)
-	d := diskOf(t, s)
+	d := s.Disk()
 	if err := s.Put("k", []byte("a payload long enough to truncate meaningfully")); err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +410,7 @@ func TestQuarantineCorruptEntry(t *testing.T) {
 	if err := s.Put("k", []byte("a payload long enough to corrupt meaningfully")); err != nil {
 		t.Fatal(err)
 	}
-	d := diskOf(t, s)
+	d := s.Disk()
 	path := d.path("k")
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -643,31 +597,5 @@ func TestOpenSweepsOrphanedTmpFiles(t *testing.T) {
 	clean := open(t)
 	if got := clean.Stats().Report("x"); strings.Contains(got, "swept") {
 		t.Errorf("clean store reports a sweep: %q", got)
-	}
-}
-
-// TestTieredReportsLocalTmpSweep: the sweep counter surfaces through a
-// tiered backend the same way quarantines do.
-func TestTieredReportsLocalTmpSweep(t *testing.T) {
-	dir := t.TempDir()
-	stale := filepath.Join(dir, "put-dead.tmp")
-	if err := os.WriteFile(stale, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	past := time.Now().Add(-2 * DefaultTmpSweepAge)
-	if err := os.Chtimes(stale, past, past); err != nil {
-		t.Fatal(err)
-	}
-	local, err := OpenDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := OpenDisk(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewStore(NewTiered(local, remote))
-	if got := s.Stats().TmpSwept; got != 1 {
-		t.Errorf("tiered Stats.TmpSwept = %d, want 1", got)
 	}
 }

@@ -7,7 +7,7 @@
 //
 // A schedule is a semicolon-separated list of rules:
 //
-//	seed=7;store.http.get:err@0.2;dispatch.worker:kill=2sx1
+//	seed=7;store.disk.get:err@0.2;dispatch.worker:kill=2sx1
 //
 // Each rule is `point:kind[=duration][@probability][xmax]`: the kind of
 // fault to inject at the named point, an optional duration operand
@@ -56,7 +56,7 @@ const (
 	// StoreDiskGet fires in the disk backend's entry read: err, corrupt.
 	StoreDiskGet = "store.disk.get"
 	// StoreDiskPut fires in the disk backend's atomic write: err,
-	// enospc, short.
+	// enospc, short, delay (the write stalls for the operand first).
 	StoreDiskPut = "store.disk.put"
 	// StoreDiskEvict fires in the disk backend's read paths: evict
 	// (the entry is evicted before it is served, so the read degrades to
@@ -64,19 +64,6 @@ const (
 	// storms mid-session without needing a store that actually overflows
 	// its budget.
 	StoreDiskEvict = "store.disk.evict"
-	// StoreHTTPGet fires in the store client's read-side requests
-	// (GET/stat/list): err (transport failure), timeout, http500, trunc
-	// (truncated response body), corrupt (bit-flipped response body).
-	StoreHTTPGet = "store.http.get"
-	// StoreHTTPPut fires in the store client's write-side requests
-	// (PUT/DELETE): err, timeout, http500.
-	StoreHTTPPut = "store.http.put"
-	// ServerGet fires in the GET handler of the pracsimd store routes:
-	// err (500), trunc, corrupt.
-	ServerGet = "server.get"
-	// ServerPut fires in the PUT handler of the pracsimd store routes:
-	// err (500).
-	ServerPut = "server.put"
 	// ShardRead fires in the shard-file reader (validate and merge):
 	// err, corrupt.
 	ShardRead = "shard.read"
@@ -116,9 +103,6 @@ type Kind string
 // The fault kinds. Sites interpret them; Parse validates them.
 const (
 	Err     Kind = "err"     // a generic injected error
-	Timeout Kind = "timeout" // a transport timeout (HTTP client)
-	HTTP500 Kind = "http500" // a synthetic 500 response (HTTP client)
-	Trunc   Kind = "trunc"   // truncate the data stream
 	Corrupt Kind = "corrupt" // flip a byte in the data stream
 	ENOSPC  Kind = "enospc"  // disk-full on write
 	Short   Kind = "short"   // short write
@@ -130,8 +114,6 @@ const (
 
 var knownPoints = map[string]bool{
 	StoreDiskGet: true, StoreDiskPut: true, StoreDiskEvict: true,
-	StoreHTTPGet: true, StoreHTTPPut: true,
-	ServerGet: true, ServerPut: true,
 	ShardRead: true, ShardWrite: true,
 	DispatchWorker: true,
 	JournalAppend:  true, JournalSync: true,
@@ -139,9 +121,8 @@ var knownPoints = map[string]bool{
 }
 
 var knownKinds = map[Kind]bool{
-	Err: true, Timeout: true, HTTP500: true, Trunc: true, Corrupt: true,
-	ENOSPC: true, Short: true, Kill: true, Delay: true, Torn: true,
-	Evict: true,
+	Err: true, Corrupt: true, ENOSPC: true, Short: true, Kill: true,
+	Delay: true, Torn: true, Evict: true,
 }
 
 // Points enumerates every failpoint, for docs and usage errors.

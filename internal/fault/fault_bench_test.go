@@ -19,7 +19,7 @@ func BenchmarkFaultFireDisabled(b *testing.B) {
 // different point — the cost paid at every non-faulted site during a
 // chaos run.
 func BenchmarkFaultFireEnabledMiss(b *testing.B) {
-	p, err := Parse("store.http.get:err@0.5")
+	p, err := Parse("shard.read:err@0.5")
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -7,16 +7,16 @@ import (
 )
 
 func TestParseGrammar(t *testing.T) {
-	p, err := Parse("seed=42; store.http.get:err@0.25; dispatch.worker:kill=2sx1; store.disk.put:enospc")
+	p, err := Parse("seed=42; store.disk.get:err@0.25; dispatch.worker:kill=2sx1; store.disk.put:enospc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Seed != 42 {
 		t.Fatalf("seed = %d, want 42", p.Seed)
 	}
-	httpGet := p.rules[StoreHTTPGet]
-	if len(httpGet) != 1 || httpGet[0].kind != Err || httpGet[0].prob != 0.25 || httpGet[0].max != 0 {
-		t.Fatalf("store.http.get rule = %+v", httpGet)
+	diskGet := p.rules[StoreDiskGet]
+	if len(diskGet) != 1 || diskGet[0].kind != Err || diskGet[0].prob != 0.25 || diskGet[0].max != 0 {
+		t.Fatalf("store.disk.get rule = %+v", diskGet)
 	}
 	kill := p.rules[DispatchWorker]
 	if len(kill) != 1 || kill[0].kind != Kill || kill[0].value != 2*time.Second || kill[0].max != 1 {
@@ -31,13 +31,13 @@ func TestParseGrammar(t *testing.T) {
 func TestParseRejectsBadSpecs(t *testing.T) {
 	for _, spec := range []string{
 		"seed=nope",
-		"store.http.get",             // no kind
+		"store.disk.get",             // no kind
 		"no.such.point:err",          // unknown point
-		"store.http.get:frob",        // unknown kind
-		"store.http.get:err@0",       // probability out of range
-		"store.http.get:err@1.5",     // probability out of range
-		"store.http.get:err@bad",     // unparseable probability
-		"store.http.get:errx0",       // zero max
+		"store.disk.get:frob",        // unknown kind
+		"store.disk.get:err@0",       // probability out of range
+		"store.disk.get:err@1.5",     // probability out of range
+		"store.disk.get:err@bad",     // unparseable probability
+		"store.disk.get:errx0",       // zero max
 		"dispatch.worker:kill=-1s",   // negative duration
 		"dispatch.worker:kill=later", // unparseable duration
 	} {
@@ -52,7 +52,7 @@ func TestParseEmptySpecIsEmptyPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a := p.fire(StoreHTTPGet); a != nil {
+	if a := p.fire(StoreDiskGet); a != nil {
 		t.Fatalf("empty plan fired %+v", a)
 	}
 }
@@ -77,7 +77,7 @@ func TestFireRespectsMaxAndCounts(t *testing.T) {
 }
 
 func TestFireProbabilityIsDeterministic(t *testing.T) {
-	const spec = "seed=7;store.http.get:err@0.3"
+	const spec = "seed=7;store.disk.get:err@0.3"
 	run := func(salt string) []bool {
 		p, err := Parse(spec)
 		if err != nil {
@@ -86,7 +86,7 @@ func TestFireProbabilityIsDeterministic(t *testing.T) {
 		p.Salt = salt
 		out := make([]bool, 200)
 		for i := range out {
-			out[i] = p.fire(StoreHTTPGet) != nil
+			out[i] = p.fire(StoreDiskGet) != nil
 		}
 		return out
 	}
@@ -125,7 +125,7 @@ func TestSeedChangesSequence(t *testing.T) {
 		}
 		var b strings.Builder
 		for i := 0; i < 100; i++ {
-			if p.fire(StoreHTTPGet) != nil {
+			if p.fire(StoreDiskGet) != nil {
 				b.WriteByte('1')
 			} else {
 				b.WriteByte('0')
@@ -133,7 +133,7 @@ func TestSeedChangesSequence(t *testing.T) {
 		}
 		return b.String()
 	}
-	if seq("seed=1;store.http.get:err@0.5") == seq("seed=2;store.http.get:err@0.5") {
+	if seq("seed=1;store.disk.get:err@0.5") == seq("seed=2;store.disk.get:err@0.5") {
 		t.Fatal("different seeds drew identical sequences")
 	}
 }
@@ -191,7 +191,7 @@ func TestSameSeedSameLog(t *testing.T) {
 
 func TestEnableFromEnv(t *testing.T) {
 	defer Disable()
-	t.Setenv(EnvVar, "seed=3;server.get:trunc@0.5")
+	t.Setenv(EnvVar, "seed=3;store.disk.get:corrupt@0.5")
 	t.Setenv(SaltEnvVar, "w3")
 	ok, err := EnableFromEnv()
 	if err != nil || !ok {
@@ -215,9 +215,9 @@ func TestEnableFromEnv(t *testing.T) {
 }
 
 func TestActionErr(t *testing.T) {
-	a := &Action{Point: StoreHTTPGet, Kind: Err, Hit: 4}
+	a := &Action{Point: StoreDiskGet, Kind: Err, Hit: 4}
 	err := a.Err("GET /v1/e/abc")
-	if !strings.Contains(err.Error(), "injected err") || !strings.Contains(err.Error(), StoreHTTPGet) {
+	if !strings.Contains(err.Error(), "injected err") || !strings.Contains(err.Error(), StoreDiskGet) {
 		t.Fatalf("Err() = %v", err)
 	}
 }

@@ -55,19 +55,19 @@ func render(p *Plan) string {
 // from a canonical rendering of its rules, to an equal seed and rule set.
 func FuzzParse(f *testing.F) {
 	for _, spec := range []string{
-		"seed=42; store.http.get:err@0.25; dispatch.worker:kill=2sx1; store.disk.put:enospc",
+		"seed=42; store.disk.get:err@0.25; dispatch.worker:kill=2sx1; store.disk.put:enospc",
 		"",
 		"shard.read:errx2",
-		"seed=7;store.http.get:err@0.3",
+		"seed=7;store.disk.get:err@0.3",
 		"journal.append:torn=1ms@0.5x3; journal.append:delay=250us",
 		"seed=nope",
-		"store.http.get",
+		"store.disk.get",
 		"no.such.point:err",
-		"store.http.get:frob",
-		"store.http.get:err@0",
-		"store.http.get:err@1.5",
-		"store.http.get:err@bad",
-		"store.http.get:errx0",
+		"store.disk.get:frob",
+		"store.disk.get:err@0",
+		"store.disk.get:err@1.5",
+		"store.disk.get:err@bad",
+		"store.disk.get:errx0",
 		"dispatch.worker:kill=-1s",
 		"dispatch.worker:kill=later",
 	} {

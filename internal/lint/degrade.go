@@ -7,15 +7,15 @@ import (
 )
 
 // degrade enforces the store's degrade-to-miss contract on both sides
-// of the Backend seam:
+// of the Store front:
 //
 //  1. Inside the store package, a Get-path implementation (methods
-//     named Get/GetFrame) must not return an error that originated in a
+//     named Get) must not return an error that originated in a
 //     decode/validation function unless a degrade action (quarantine,
 //     forget) ran first — corruption must become a future miss, not a
 //     sticky error the caller re-hits on every access.
 //  2. Outside the store package, entries must be read through the
-//     counting Store front: calling a Backend's Get directly bypasses
+//     counting Store front: calling a backend's Get directly bypasses
 //     the front's miss classification, so a corrupt entry would surface
 //     as an error instead of a recompute.
 func degrade(prog *Program, idx *index, cfg Config) []Finding {
@@ -42,19 +42,19 @@ func degrade(prog *Program, idx *index, cfg Config) []Finding {
 					continue
 				}
 				if inStore {
-					if fd.Recv != nil && (fd.Name.Name == "Get" || fd.Name.Name == "GetFrame") {
+					if fd.Recv != nil && fd.Name.Name == "Get" {
 						out = append(out, checkGetPath(prog, pkg, fd, decode, action)...)
 					}
 					continue
 				}
-				// Outside the store: no direct Backend reads.
+				// Outside the store: no direct backend reads.
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
 						return true
 					}
 					fn := callee(pkg.Info, call)
-					if fn == nil || fn.Name() != "Get" && fn.Name() != "GetFrame" {
+					if fn == nil || fn.Name() != "Get" {
 						return true
 					}
 					sig, _ := fn.Type().(*types.Signature)
@@ -74,10 +74,9 @@ func degrade(prog *Program, idx *index, cfg Config) []Finding {
 }
 
 // checkGetPath taint-tracks decode errors through one Get-path method
-// (func literals inside it included — the HTTP client's retry closures
-// return through them). A return that carries a decode-originated error
-// is flagged unless a degrade action ran between the decode and the
-// return.
+// (func literals inside it included). A return that carries a
+// decode-originated error is flagged unless a degrade action ran
+// between the decode and the return.
 func checkGetPath(prog *Program, pkg *Package, fd *ast.FuncDecl, decode, action map[string]bool) []Finding {
 	// tainted maps error objects to the position of the decode call that
 	// produced them.

@@ -14,12 +14,12 @@
 //     reach it), and every failpoint name used in code or in a schedule
 //     literal must exist in internal/fault's registry (a typo'd point
 //     would silently never fire).
-//   - degrade — store.Backend Get-path implementations may only surface
-//     ErrNotFound or transport errors the counting front classifies;
-//     a raw decode/corruption error must not escape without the degrade
+//   - degrade — the store backend's Get path may only surface
+//     ErrNotFound or I/O errors the counting front classifies; a raw
+//     decode/corruption error must not escape without the degrade
 //     action (quarantine/forget) that turns the bad entry into a miss.
 //     Code outside the store package must read entries through the
-//     degrading Store front, never a Backend directly.
+//     degrading Store front, never the backend directly.
 //   - locks — no I/O and no fault.Fire while holding a sync.Mutex or
 //     RWMutex acquired in the same function (the eviction/pinning-race
 //     shape: an injected fault or a slow disk inside a critical section
@@ -103,10 +103,10 @@ type Config struct {
 	ScheduleFuncs []string
 
 	// DegradeScope is the store package set; code outside it must not
-	// call Backend Get methods directly.
+	// call a backend's Get method directly.
 	DegradeScope []string
-	// BackendTypes are the named Backend implementations plus the
-	// Backend interface itself (canonical "pkgpath.Type").
+	// BackendTypes are the store backend types behind the counting
+	// front (canonical "pkgpath.Type").
 	BackendTypes []string
 	// DecodeFuncs are the decode/validation functions whose errors mean
 	// "this copy is corrupt" (canonical names).
@@ -149,12 +149,7 @@ func DefaultConfig() Config {
 		FireFuncs:     []string{"pracsim/internal/fault.Fire"},
 		ScheduleFuncs: []string{"pracsim/internal/fault.Parse"},
 		DegradeScope:  []string{"pracsim/internal/exp/store"},
-		BackendTypes: []string{
-			"pracsim/internal/exp/store.Backend",
-			"pracsim/internal/exp/store.Disk",
-			"pracsim/internal/exp/store.HTTP",
-			"pracsim/internal/exp/store.Tiered",
-		},
+		BackendTypes:  []string{"pracsim/internal/exp/store.Disk"},
 		DecodeFuncs: []string{
 			"pracsim/internal/exp/store.DecodeFrame",
 			"pracsim/internal/exp/store.DecodeFrameAny",
