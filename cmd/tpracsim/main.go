@@ -13,17 +13,14 @@
 // finishes, so re-running with the same arguments (SIGINT, SIGKILL or
 // OOM kill alike) executes only the runs that never reached the store.
 //
-// Grids also shard across machines: -shard i/n executes only the i-th
-// deterministic slice of the run keys and writes the results to a shard
-// file (-shardout); -merge imports the shard files and assembles the
-// figures without simulating, bit-identical to an unsharded run.
-// -dispatch N automates the whole workflow in one command: it serves a
-// pracsimd job queue in process on loopback, submits the grid as N shard
-// work items, and spawns N pull children (`-pull`, re-execing this
-// binary or any fleet via -dispatch-cmd). Children lease items, upload
-// their shard results over HTTP and are respawned if they exit early; a
-// killed child's item re-leases when its lease expires. The driver
-// merges the acked shard files and renders the figures.
+// -dispatch N splits a grid across processes: it serves a pracsimd job
+// queue in process on loopback, submits the grid as N shard work items
+// (deterministic slices of the run keys), and spawns N pull children
+// (`-pull`, re-execing this binary or any fleet via -dispatch-cmd).
+// Children lease items, upload their shard results over HTTP and are
+// respawned if they exit early; a killed child's item re-leases when its
+// lease expires. The driver merges the acked shard files and renders the
+// figures, bit-identical to an undispatched run.
 //
 // The store is a local directory. To share runs across machines, submit
 // the grid to a pracsimd daemon (see cmd/pracsimd) and run -pull workers
@@ -35,9 +32,7 @@
 //
 //	tpracsim -exp fig10|fig11|fig12|fig13|fig14|table5|rfmpb|all
 //	         [-scale quick|full] [-workers N] [-serial]
-//	         [-store DIR|auto|off] [-store-budget SIZE]
-//	         [-shard i/n [-shardout FILE]]
-//	         [-merge FILE,FILE,...] [-csvdir DIR]
+//	         [-store DIR|auto|off] [-store-budget SIZE] [-csvdir DIR]
 //	         [-dispatch N [-dispatch-cmd TEMPLATE]]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //	tpracsim -store-info|-store-prune [-store DIR|auto]
@@ -82,13 +77,11 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"pracsim/internal/exp"
 	"pracsim/internal/exp/service"
-	"pracsim/internal/exp/shard"
 	"pracsim/internal/exp/store"
 	"pracsim/internal/fault"
 	"pracsim/internal/retry"
@@ -116,9 +109,6 @@ func main() {
 	faults := flag.String("faults", os.Getenv(fault.EnvVar), "deterministic fault schedule, e.g. 'seed=7;store.disk.get:err@0.2;dispatch.worker:kill@0.1' (chaos testing; also $"+fault.EnvVar+")")
 	storeInfo := flag.Bool("store-info", false, "print the store's entry count, bytes, age range and per-schema footprint, then exit")
 	storePrune := flag.Bool("store-prune", false, "delete entries from orphaned (non-current) schema versions, then exit")
-	shardArg := flag.String("shard", "", "execute only shard i/n of the run keys and write a shard file instead of reports")
-	shardOut := flag.String("shardout", "", "shard result file to write (default shard-i-of-n.runs)")
-	mergeArg := flag.String("merge", "", "comma-separated shard files to import before running")
 	dispatchN := flag.Int("dispatch", 0, "run the grid as N work items on an in-process job queue with N pull children, then merge their results (0 = off)")
 	dispatchCmd := flag.String("dispatch-cmd", "", "child command template run via sh -c, with {args}/{slot}/{port} placeholders (default: re-exec this binary)")
 	csvDir := flag.String("csvdir", "", "directory to write CSV files into (optional)")
@@ -189,8 +179,8 @@ func main() {
 		return
 	}
 	if *pullURL != "" {
-		if *dispatchN > 0 || *shardArg != "" || *mergeArg != "" {
-			fmt.Fprintln(os.Stderr, "tpracsim: -pull is exclusive with -dispatch/-shard/-merge (the daemon assigns the work)")
+		if *dispatchN > 0 {
+			fmt.Fprintln(os.Stderr, "tpracsim: -pull is exclusive with -dispatch (the daemon assigns the work)")
 			os.Exit(2)
 		}
 		runPull(*pullURL, *pullToken, st, *workers, *pullIdleExit)
@@ -203,20 +193,6 @@ func main() {
 		// be silently discarded and the grid re-run locally.
 		fmt.Fprintln(os.Stderr, "tpracsim: -dispatch cannot be combined with -percycle/-differential (validation modes must execute locally)")
 		os.Exit(2)
-	}
-	var sp shard.Spec
-	if *shardArg != "" {
-		if *dispatchN > 0 {
-			fmt.Fprintln(os.Stderr, "tpracsim: -shard and -dispatch are mutually exclusive (the dispatch queue assigns shards itself)")
-			os.Exit(2)
-		}
-		if sp, err = shard.Parse(*shardArg); err != nil {
-			fmt.Fprintf(os.Stderr, "tpracsim: %v\n", err)
-			os.Exit(2)
-		}
-		if *shardOut == "" {
-			*shardOut = fmt.Sprintf("shard-%d-of-%d.runs", sp.Index, sp.Count)
-		}
 	}
 
 	// First signal under -dispatch: drain — the fleet is cancelled,
@@ -239,26 +215,7 @@ func main() {
 		os.Exit(130)
 	}()
 
-	session := exp.NewRunnerWith(scale, exp.SessionOptions{Store: st, Shard: sp})
-	if *mergeArg != "" {
-		// Tolerate list debris (trailing or doubled commas, stray
-		// spaces) — but an all-debris list is a mistake worth naming,
-		// not an empty no-op merge.
-		var files []string
-		for _, f := range strings.Split(*mergeArg, ",") {
-			if f = strings.TrimSpace(f); f != "" {
-				files = append(files, f)
-			}
-		}
-		if len(files) == 0 {
-			fatalf("-merge %q names no shard files", *mergeArg)
-		}
-		n, err := importWithRetry(session, files)
-		if err != nil {
-			fatalf("merging shards: %v", err)
-		}
-		fmt.Printf("merged %d runs from %d shard file(s)\n", n, len(files))
-	}
+	session := exp.NewRunnerWith(scale, exp.SessionOptions{Store: st})
 
 	// Validate the selection before any work — in particular before a
 	// dispatch fleet spawns and burns its respawns on children that
@@ -295,12 +252,6 @@ func main() {
 		}
 		fmt.Printf("(%d new simulations; session cache holds %d)\n",
 			session.Executed()-before, session.CachedRuns())
-		if sp.Count > 0 {
-			// A sharded session computes only its slice of the grid;
-			// its figures are partial by design and are rendered by the
-			// merge invocation instead.
-			continue
-		}
 		fmt.Println(res.Render())
 		if *csvDir != "" {
 			path := filepath.Join(*csvDir, name+".csv")
@@ -309,14 +260,6 @@ func main() {
 			}
 			fmt.Printf("wrote %s\n\n", path)
 		}
-	}
-	if sp.Count > 0 {
-		n, err := session.ExportShard(*shardOut)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("shard %s: %d runs (%d executed, rest store-warm), wrote %s\n",
-			sp, n, session.Executed(), *shardOut)
 	}
 	// Execution telemetry: store traffic, aggregate simulation rate,
 	// elision wins and the straggler simulations that dominated the

@@ -479,3 +479,63 @@ func TestServiceChaosJobAPI(t *testing.T) {
 		t.Error("chaos run changed the CSV; faults must degrade, never corrupt")
 	}
 }
+
+// TestWorkerShardWriteFailureReleasesLease: a worker that cannot write
+// its shard result hands the lease back at once, so the item re-leases
+// well inside the lease TTL instead of sitting out its expiry.
+func TestWorkerShardWriteFailureReleasesLease(t *testing.T) {
+	wantCSV, _ := reference(t)
+	p, err := fault.Parse("seed=1;shard.write:errx1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Enable(p)
+	t.Cleanup(fault.Disable)
+
+	d := startDaemon(t, Options{Dir: t.TempDir(), Tokens: "alice", LeaseTTL: time.Minute})
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+	alice := NewClient(d.ts.URL, "alice")
+	st, err := alice.Submit(ctx, GridSpec{Exps: []string{"fig12"}, Scale: "tiny", Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	workerCtx, stopWorker := context.WithCancel(ctx)
+	type outcome struct {
+		sum WorkerSummary
+		err error
+	}
+	worker := make(chan outcome, 1)
+	go func() {
+		sum, err := RunWorker(workerCtx, WorkerOptions{
+			URL: d.ts.URL, Token: "alice", Name: "w1",
+			Poll: retry.Policy{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond},
+		})
+		worker <- outcome{sum, err}
+	}()
+	waitCtx, waitCancel := context.WithTimeout(ctx, 15*time.Second)
+	defer waitCancel()
+	fin, err := alice.Wait(waitCtx, st.ID, 50*time.Millisecond)
+	stopWorker()
+	w := <-worker
+	if err != nil {
+		t.Fatalf("job not done 15s into a 1m lease TTL (the failed item's lease was held to expiry?): %v", err)
+	}
+	if fin.State != StateDone {
+		t.Fatalf("job ended %s (%s), want done", fin.State, fin.Error)
+	}
+	if w.err != nil {
+		t.Fatal(w.err)
+	}
+	if w.sum.Failures != 1 || fault.Fired() != 1 {
+		t.Errorf("worker failures = %d, faults fired = %d; want 1 and 1 (%s)", w.sum.Failures, fault.Fired(), w.sum)
+	}
+	got, err := alice.Result(ctx, st.ID, "fig12.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != wantCSV {
+		t.Error("a retried item changed the CSV")
+	}
+}

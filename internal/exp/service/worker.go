@@ -186,8 +186,11 @@ func runItem(ctx context.Context, c *Client, g *LeaseGrant, opts WorkerOptions) 
 	if act := fault.Fire(fault.QueueAck); act != nil && act.Kind == fault.Err {
 		return 0, 0, act.Err("deliver " + g.Job + "/" + g.Item)
 	}
+	// A result this worker cannot write is one it cannot deliver: hand
+	// the lease back now instead of letting it sit until it expires.
 	tmp, err := os.CreateTemp("", "pracsim-ack-*.runs")
 	if err != nil {
+		c.Fail(ctx, g.ID, err.Error())
 		return 0, 0, fmt.Errorf("service: %w", err)
 	}
 	tmpName := tmp.Name()
@@ -196,6 +199,7 @@ func runItem(ctx context.Context, c *Client, g *LeaseGrant, opts WorkerOptions) 
 	defer os.Remove(tmpName)
 	runs, err = sess.ExportShard(tmpName)
 	if err != nil {
+		c.Fail(ctx, g.ID, err.Error())
 		return 0, 0, err
 	}
 	executed = sess.Executed()

@@ -126,8 +126,8 @@ func (s *Runner) ImportShards(paths ...string) (int, error) {
 	total := 0
 	for _, path := range paths {
 		if path == "" {
-			// A torn CLI list ("a.runs,") must fail as what it is, not
-			// as a confusing open("") error.
+			// An empty path must fail as what it is, not as a
+			// confusing open("") error.
 			return total, errors.New("exp: empty shard file path")
 		}
 		entries, err := shard.ReadFile(path, sim.SchemaVersion)

@@ -396,8 +396,8 @@ func TestMemoRoundTrip(t *testing.T) {
 	}
 }
 
-// TestImportShardsRejectsEmptyPath: a torn -merge list reaching the
-// session must fail as an empty path, not as a confusing open("").
+// TestImportShardsRejectsEmptyPath: an empty path in a shard file list
+// must fail as an empty path, not as a confusing open("").
 func TestImportShardsRejectsEmptyPath(t *testing.T) {
 	sess := NewRunner(storeScale())
 	if _, err := sess.ImportShards(""); err == nil || !strings.Contains(err.Error(), "empty shard file path") {

@@ -137,9 +137,9 @@ func OpenDisk(dir string) (*Disk, error) {
 }
 
 // OpenDiskWith is OpenDisk with explicit lifecycle options. When a
-// budget is configured, the access-time index is rebuilt from the
-// directory (sharpened by the persisted sidecar) and an immediately
-// over-budget store starts a sweep right away.
+// budget is configured, the access-time index is rebuilt from the entry
+// files' mtimes and an immediately over-budget store starts a sweep
+// right away.
 func OpenDiskWith(dir string, opts DiskOptions) (*Disk, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")

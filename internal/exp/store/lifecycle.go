@@ -1,27 +1,13 @@
 package store
 
 import (
-	"bufio"
-	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// indexName is the compact access-time sidecar the lifecycle layer keeps
-// next to the entry files. It is strictly a hint: a missing, stale or
-// corrupt index costs recency precision (evictions fall back to file
-// mtimes), never correctness.
-const indexName = "access.idx"
-
-// indexMagic stamps the sidecar format; anything else is ignored and the
-// index rebuilt from file mtimes.
-const indexMagic = "pracstore-atime/1"
 
 // evictTarget is how far below the budget a sweep drains the store:
 // evicting to exactly the budget would re-trigger a sweep on the very
@@ -61,7 +47,6 @@ type lifecycle struct {
 	entries map[string]lcEntry // hash -> size/atime
 	bytes   int64              // sum of tracked entry-file sizes
 	pins    map[string]int     // in-flight Get/Put hashes a sweep must skip
-	dirty   bool               // index changed since last persist
 
 	sweeping  atomic.Bool
 	sweepMu   sync.Mutex
@@ -84,12 +69,10 @@ func (lc *lifecycle) stats() EvictionStats {
 	}
 }
 
-// rebuild scans the store directory and (re)builds the in-memory index:
-// sizes and mtimes from the entry files themselves, access times
-// overlaid from the persisted sidecar where the entry still exists. The
-// directory is the truth; the sidecar only sharpens recency.
+// rebuild scans the store directory and (re)builds the in-memory index
+// from the entry files alone: sizes, and access times from the file
+// mtimes (a write sets the mtime, and a budgeted Get bumps it).
 func (lc *lifecycle) rebuild(dir string) {
-	persisted := loadIndex(filepath.Join(dir, indexName))
 	//praclint:allow failpoint open-time index rebuild; a failure leaves the budget tracker empty, which only delays eviction
 	dirents, err := os.ReadDir(dir)
 	if err != nil {
@@ -110,65 +93,8 @@ func (lc *lifecycle) rebuild(dir string) {
 		}
 		hash := strings.TrimSuffix(name, ".run")
 		e := lcEntry{size: fi.Size(), atime: fi.ModTime().Unix()}
-		if at, ok := persisted[hash]; ok && at > e.atime {
-			e.atime = at
-		}
 		lc.entries[hash] = e
 		lc.bytes += e.size
-	}
-}
-
-// loadIndex reads the sidecar's hash->atime map; nil on any problem.
-func loadIndex(path string) map[string]int64 {
-	//praclint:allow failpoint sidecar read at open time; nil on any problem, the directory stays the truth
-	f, err := os.Open(path)
-	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	if !sc.Scan() || sc.Text() != indexMagic {
-		return nil
-	}
-	m := make(map[string]int64)
-	for sc.Scan() {
-		hash, at, ok := strings.Cut(sc.Text(), " ")
-		if !ok {
-			continue
-		}
-		if n, err := strconv.ParseInt(at, 10, 64); err == nil {
-			m[hash] = n
-		}
-	}
-	return m
-}
-
-// persistIndex writes the sidecar atomically (temp + rename), so a
-// killed process never tears it. Best-effort: a failed persist costs
-// recency across a restart, nothing else.
-func (lc *lifecycle) persistIndex(dir string) {
-	lc.mu.Lock()
-	if !lc.dirty {
-		lc.mu.Unlock()
-		return
-	}
-	var b strings.Builder
-	b.WriteString(indexMagic + "\n")
-	for hash, e := range lc.entries {
-		fmt.Fprintf(&b, "%s %d\n", hash, e.atime)
-	}
-	lc.dirty = false
-	lc.mu.Unlock()
-
-	tmp, err := os.CreateTemp(dir, "idx-*.tmp")
-	if err != nil {
-		return
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.WriteString(b.String()); err == nil && tmp.Close() == nil {
-		os.Rename(tmp.Name(), filepath.Join(dir, indexName))
-	} else {
-		tmp.Close()
 	}
 }
 
@@ -189,7 +115,6 @@ func (lc *lifecycle) touch(hash string, size int64) {
 	}
 	e.atime = now
 	lc.entries[hash] = e
-	lc.dirty = true
 	lc.mu.Unlock()
 }
 
@@ -200,7 +125,6 @@ func (lc *lifecycle) forget(hash string) {
 	if e, ok := lc.entries[hash]; ok {
 		lc.bytes -= e.size
 		delete(lc.entries, hash)
-		lc.dirty = true
 	}
 	lc.mu.Unlock()
 }
@@ -236,9 +160,15 @@ func (lc *lifecycle) overBudget() bool {
 
 // lcTouchGet, lcTouchPut, lcPin, lcUnpin and lcForget are the disk
 // backend's lifecycle hooks: one nil check when no budget is configured.
+//
+// A budgeted read also bumps the entry file's mtime, which is the
+// recency a reopened store rebuilds from. Best-effort: a failed bump
+// (say, the entry was evicted since the read) costs only that recency.
 func (d *Disk) lcTouchGet(hash string) {
 	if d.lc != nil {
 		d.lc.touch(hash, -1)
+		now := time.Now()
+		os.Chtimes(d.hashPath(hash), now, now)
 	}
 }
 
@@ -407,5 +337,4 @@ func (d *Disk) sweepOnce() {
 		d.evictEntry(v.hash, e.size)
 		freed += e.size
 	}
-	lc.persistIndex(d.dir)
 }

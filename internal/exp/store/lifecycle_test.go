@@ -71,10 +71,16 @@ func TestBudgetSweepEvictsLRU(t *testing.T) {
 	if ev.Footprint != 4*size {
 		t.Errorf("footprint = %d, want %d", ev.Footprint, 4*size)
 	}
-	// The sweep persisted the sidecar index.
-	idx, err := os.ReadFile(filepath.Join(dir, indexName))
-	if err != nil || !bytes.HasPrefix(idx, []byte(indexMagic)) {
-		t.Errorf("sidecar index not persisted after sweep: %v", err)
+	// Recency lives in the entry files' mtimes: the sweep leaves nothing
+	// but entry files behind.
+	dirents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, de := range dirents {
+		if filepath.Ext(de.Name()) != ".run" {
+			t.Errorf("sweep left a non-entry file %s in the store", de.Name())
+		}
 	}
 	// An eviction is a miss a re-Put repairs.
 	if err := d2.Put(lcKey(0), payload); err != nil {
@@ -85,10 +91,10 @@ func TestBudgetSweepEvictsLRU(t *testing.T) {
 	}
 }
 
-// TestSidecarSharpensRecency: a persisted access time newer than the
-// file's mtime wins, so an old-but-recently-read entry outlives
-// younger-but-cold peers across a reopen.
-func TestSidecarSharpensRecency(t *testing.T) {
+// TestReadRecencySurvivesReopen: a budgeted Get bumps the entry file's
+// mtime, so an old-but-recently-read entry outlives younger-but-cold
+// peers across a reopen.
+func TestReadRecencySurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte{0xCD}, 1024)
 	d, err := OpenDisk(dir)
@@ -110,22 +116,26 @@ func TestSidecarSharpensRecency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The sidecar says lc-00 was read just now: recency beats mtime.
-	idx := indexMagic + "\n" + fmt.Sprintf("%s %d\n", Hash(lcKey(0)), now.Unix())
-	if err := os.WriteFile(filepath.Join(dir, indexName), []byte(idx), 0o644); err != nil {
+	// A budgeted store (roomy enough not to sweep) reads lc-00 now.
+	size := lcFrameSize(payload)
+	d1, err := OpenDiskWith(dir, DiskOptions{BudgetBytes: 100 * size})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := d1.Get(lcKey(0)); err != nil {
+		t.Fatal(err)
+	}
+	d1.WaitSweeps()
 
-	size := lcFrameSize(payload)
 	d2, err := OpenDiskWith(dir, DiskOptions{BudgetBytes: 2 * size})
 	if err != nil {
 		t.Fatal(err)
 	}
 	d2.WaitSweeps()
-	// over = 4s - 0.9*2s = 2.2s: the three cold entries go, the
-	// mtime-oldest but sidecar-hottest one stays.
+	// over = 4s - 0.9*2s = 2.2s: the three unread entries go, the
+	// mtime-oldest but just-read one stays.
 	if got, err := d2.Get(lcKey(0)); err != nil || !bytes.Equal(got, payload) {
-		t.Errorf("sidecar-hot entry evicted despite its recent access: %v", err)
+		t.Errorf("recently read entry evicted across a reopen: %v", err)
 	}
 	for i := 1; i < n; i++ {
 		if _, err := d2.Get(lcKey(i)); !errors.Is(err, ErrNotFound) {
