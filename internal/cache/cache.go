@@ -10,6 +10,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"pracsim/internal/ticks"
@@ -81,24 +82,33 @@ type mshr struct {
 // Cache is one level of the hierarchy.
 //
 // Way state is flat: way w of set s lives at index s*Ways+w of keys,
-// dirty and the policy's metadata array. A way's key is tag<<1|1 while
-// it holds a line and 0 while it is empty, so a hit test is one compare
-// per way. The shift drops a tag's top bit, which no line address uses:
-// line addresses are byte addresses >> 6.
+// dirty and the policy's metadata array. A way's key is the 32-bit
+// tag<<1|1 while it holds a line and 0 while it is empty, so a hit test
+// is one compare per way and a 16-way set's keys fill one 64-byte host
+// line. A tag must therefore fit in 31 bits: keyOf panics on a wider one
+// rather than alias another line, and callers bound their line addresses
+// by MaxLines.
+//
+// LRU recency is per set: each set has an 8-bit clock, and a touch stamps
+// the way with the set's next clock value, so a set's valid ways always
+// hold distinct stamps whose order is their recency order. Before the
+// clock would wrap, renumber rewrites the set's stamps as ranks 1..k in
+// the same order, so victim choice matches a global, never-wrapping LRU
+// counter.
 type Cache struct {
 	cfg      Config
 	setShift uint // log2(Sets): a line address's tag is the bits above it
 	next     Fetcher
 
-	keys  []uint64 // per way: tag<<1|1 if valid, 0 if empty
+	keys  []uint32 // per way: tag<<1|1 if valid, 0 if empty
 	dirty []bool   // per way
-	lru   []uint64 // per way, LRU only: the last touch's stamp
+	lru   []uint8  // per way, LRU only: the set's clock at the last touch
+	clock []uint8  // per set, LRU only: the set's last stamp
 	rrpv  []uint8  // per way, SRRIP only: re-reference prediction value
 
 	mshrs    []mshr  // the slab: cfg.MSHRs slots
 	free     []int   // idle slab slots, used as a stack
 	inFlight []int32 // per set: first slot of its chain of in-flight fetches, or -1
-	lruTick  uint64
 
 	prefetcher *IPStride
 	targets    []uint64 // prefetcher output buffer, reused every access
@@ -106,7 +116,19 @@ type Cache struct {
 	stats Stats
 }
 
-const srripMax = 3 // 2-bit RRPV
+const (
+	srripMax = 3 // 2-bit RRPV
+
+	// maxWays bounds associativity so that a set's renumbered LRU ranks
+	// (at most maxWays) leave room in a uint8 for the next touch.
+	maxWays = math.MaxUint8 - 1
+
+	maxTag = 1<<31 - 1 // the widest tag a 32-bit way key holds
+)
+
+// MaxLines returns how many line addresses a level with cfg's set count
+// can hold: every address below it has a tag of at most 31 bits.
+func (cfg Config) MaxLines() uint64 { return uint64(cfg.Sets) * (maxTag + 1) }
 
 // New builds a cache level over the given downstream fetcher.
 func New(cfg Config, next Fetcher) (*Cache, error) {
@@ -115,8 +137,8 @@ func New(cfg Config, next Fetcher) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: downstream fetcher required", cfg.Name)
 	case cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0:
 		return nil, fmt.Errorf("cache %s: sets (%d) must be a positive power of two", cfg.Name, cfg.Sets)
-	case cfg.Ways <= 0:
-		return nil, fmt.Errorf("cache %s: ways must be positive", cfg.Name)
+	case cfg.Ways <= 0 || cfg.Ways > maxWays:
+		return nil, fmt.Errorf("cache %s: ways (%d) must be in [1, %d]", cfg.Name, cfg.Ways, maxWays)
 	case cfg.MSHRs <= 0:
 		return nil, fmt.Errorf("cache %s: MSHRs must be positive", cfg.Name)
 	case cfg.Latency < 0:
@@ -127,7 +149,7 @@ func New(cfg Config, next Fetcher) (*Cache, error) {
 		cfg:      cfg,
 		setShift: uint(bits.TrailingZeros(uint(cfg.Sets))),
 		next:     next,
-		keys:     make([]uint64, n),
+		keys:     make([]uint32, n),
 		dirty:    make([]bool, n),
 		mshrs:    make([]mshr, cfg.MSHRs),
 		free:     make([]int, cfg.MSHRs),
@@ -135,7 +157,8 @@ func New(cfg Config, next Fetcher) (*Cache, error) {
 	}
 	switch cfg.Repl {
 	case LRU:
-		c.lru = make([]uint64, n)
+		stamps := make([]uint8, n+cfg.Sets)
+		c.lru, c.clock = stamps[:n:n], stamps[n:]
 	case SRRIP:
 		c.rrpv = make([]uint8, n)
 	default:
@@ -181,14 +204,33 @@ func (c *Cache) Config() Config { return c.cfg }
 // setOf returns a line address's set index.
 func (c *Cache) setOf(lineAddr uint64) int { return int(lineAddr & uint64(c.cfg.Sets-1)) }
 
-// keyOf returns the way key a line address is stored under.
-func (c *Cache) keyOf(lineAddr uint64) uint64 { return lineAddr>>c.setShift<<1 | 1 }
+// keyOf returns the way key a line address is stored under. A tag too
+// wide for the key panics: truncating it would alias another line.
+func (c *Cache) keyOf(lineAddr uint64) uint32 {
+	tag := lineAddr >> c.setShift
+	if tag > maxTag {
+		panic(wideTagError{c, lineAddr})
+	}
+	return uint32(tag)<<1 | 1
+}
+
+// wideTagError is keyOf's panic value. Formatting the message in Error,
+// not in keyOf, keeps keyOf small enough to inline.
+type wideTagError struct {
+	c    *Cache
+	line uint64
+}
+
+func (e wideTagError) Error() string {
+	return fmt.Sprintf("cache %s: line %#x has a tag wider than 31 bits (%d sets hold at most %d lines)",
+		e.c.cfg.Name, e.line, e.c.cfg.Sets, e.c.cfg.MaxLines())
+}
 
 // lineOf rebuilds the address of the line stored under key in set.
-func (c *Cache) lineOf(key uint64, set int) uint64 { return key>>1<<c.setShift | uint64(set) }
+func (c *Cache) lineOf(key uint32, set int) uint64 { return uint64(key>>1)<<c.setShift | uint64(set) }
 
 // lookup returns the way index holding key in set, or -1.
-func (c *Cache) lookup(set int, key uint64) int {
+func (c *Cache) lookup(set int, key uint32) int {
 	base := set * c.cfg.Ways
 	for w, k := range c.keys[base : base+c.cfg.Ways] {
 		if k == key {
@@ -236,17 +278,10 @@ func (c *Cache) Access(lineAddr uint64, write bool, pc uint64, now ticks.T, done
 func (c *Cache) access(lineAddr uint64, write bool, now ticks.T, done func(at ticks.T), prefetch bool) bool {
 	set := c.setOf(lineAddr)
 	if w := c.lookup(set, c.keyOf(lineAddr)); w >= 0 {
-		c.touch(w)
-		if write {
-			c.dirty[w] = true
+		if c.touch(set, w) {
+			return c.renumberedHit(set, w, write, now, done, prefetch)
 		}
-		if !prefetch {
-			c.stats.Hits++
-		}
-		if done != nil {
-			done(now + c.cfg.Latency)
-		}
-		return true
+		return c.hit(w, write, now, done, prefetch)
 	}
 	p := c.pending(set, lineAddr)
 	if prefetch && (len(c.free) == 0 || p >= 0) {
@@ -292,6 +327,28 @@ func (c *Cache) access(lineAddr uint64, write bool, now ticks.T, done func(at ti
 	return true
 }
 
+// hit finishes an access that found its line in way w.
+func (c *Cache) hit(w int, write bool, now ticks.T, done func(at ticks.T), prefetch bool) bool {
+	if write {
+		c.dirty[w] = true
+	}
+	if !prefetch {
+		c.stats.Hits++
+	}
+	if done != nil {
+		done(now + c.cfg.Latency)
+	}
+	return true
+}
+
+// renumberedHit renumbers set, whose clock the hit on way w filled, and
+// finishes the hit. Calling it in tail position keeps the common hit
+// path free of spills around the renumbering call.
+func (c *Cache) renumberedHit(set, w int, write bool, now ticks.T, done func(at ticks.T), prefetch bool) bool {
+	c.renumber(set)
+	return c.hit(w, write, now, done, prefetch)
+}
+
 // release returns slot i to the free stack, dropping its waiters but
 // keeping their backing array for the next miss.
 func (c *Cache) release(i int) {
@@ -317,7 +374,7 @@ func (c *Cache) fill(i int, at ticks.T) {
 
 // install places key in set, evicting (and writing back) a victim as
 // needed.
-func (c *Cache) install(set int, key uint64, dirty bool, at ticks.T) {
+func (c *Cache) install(set int, key uint32, dirty bool, at ticks.T) {
 	w := c.pickVictim(set)
 	if c.keys[w] != 0 && c.dirty[w] {
 		if !c.next.WriteBack(c.lineOf(c.keys[w], set), at) {
@@ -330,21 +387,53 @@ func (c *Cache) install(set int, key uint64, dirty bool, at ticks.T) {
 	}
 	c.keys[w], c.dirty[w] = key, dirty
 	if c.lru != nil {
-		c.touch(w)
+		if c.touch(set, w) {
+			c.renumber(set)
+		}
 	} else {
 		c.rrpv[w] = srripMax - 1 // long re-reference prediction on insert
 	}
 }
 
-// touch marks way w as just used: the newest LRU stamp, or SRRIP's
-// near-immediate re-reference prediction.
-func (c *Cache) touch(w int) {
-	if c.lru != nil {
-		c.lruTick++
-		c.lru[w] = c.lruTick
-	} else {
+// touch marks way w of set as just used: the set's next LRU stamp, or
+// SRRIP's near-immediate re-reference prediction. It reports whether the
+// set's LRU clock reached its top; the caller must then renumber the set
+// before its next touch. Leaving that call to the caller keeps touch
+// small enough to inline.
+func (c *Cache) touch(set, w int) (full bool) {
+	if c.lru == nil {
 		c.rrpv[w] = 0
+		return false
 	}
+	t := c.clock[set] + 1
+	c.clock[set], c.lru[w] = t, t
+	return t == math.MaxUint8
+}
+
+// renumber rewrites set's non-zero LRU stamps as ranks 1..k in the same
+// order and rewinds the set's clock to k. The stamps are distinct, so a
+// stamp's rank is the number of stamps at or below it, read off a bitmap
+// of the set's stamps. It stays out of line so its callers' hit paths
+// stay small.
+//
+//go:noinline
+func (c *Cache) renumber(set int) {
+	stamps := c.lru[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
+	var seen [4]uint64 // bit s is set iff some way holds stamp s
+	for _, s := range stamps {
+		seen[s>>6] |= 1 << (s & 63)
+	}
+	seen[0] &^= 1    // stamp 0 is an untouched way, not a rank
+	var below [4]int // below[i]: stamps in seen's words before i
+	for i := 1; i < len(seen); i++ {
+		below[i] = below[i-1] + bits.OnesCount64(seen[i-1])
+	}
+	for w, s := range stamps {
+		if s != 0 {
+			stamps[w] = uint8(below[s>>6] + bits.OnesCount64(seen[s>>6]&(2<<(s&63)-1)))
+		}
+	}
+	c.clock[set] = uint8(below[3] + bits.OnesCount64(seen[3]))
 }
 
 // pickVictim returns the way of set to replace: the first empty way,
@@ -352,19 +441,20 @@ func (c *Cache) touch(w int) {
 // the first way at the maximum RRPV after aging the set under SRRIP.
 func (c *Cache) pickVictim(set int) int {
 	lo, hi := set*c.cfg.Ways, (set+1)*c.cfg.Ways
-	for w := lo; w < hi; w++ {
-		if c.keys[w] == 0 {
-			return w
+	for w, k := range c.keys[lo:hi] {
+		if k == 0 {
+			return lo + w
 		}
 	}
 	if c.lru != nil {
-		victim := lo
-		for w := lo + 1; w < hi; w++ {
-			if c.lru[w] < c.lru[victim] {
-				victim = w
-			}
+		// Pack each way's stamp above its index (under 256, as New caps
+		// Ways), so one branch-free min finds the oldest stamp and, on a
+		// tie, the first way.
+		oldest := uint32(math.MaxUint32)
+		for w, s := range c.lru[lo:hi] {
+			oldest = min(oldest, uint32(s)<<8|uint32(w))
 		}
-		return victim
+		return lo + int(oldest&math.MaxUint8)
 	}
 	rrpv := c.rrpv[lo:hi]
 	for {
@@ -393,7 +483,9 @@ func (c *Cache) WriteBack(lineAddr uint64, now ticks.T) bool {
 	set, key := c.setOf(lineAddr), c.keyOf(lineAddr)
 	if w := c.lookup(set, key); w >= 0 {
 		c.dirty[w] = true
-		c.touch(w)
+		if c.touch(set, w) {
+			c.renumber(set)
+		}
 		return true
 	}
 	c.install(set, key, true, now)

@@ -253,20 +253,62 @@ func TestStackedLevels(t *testing.T) {
 
 func TestRejectsBadConfig(t *testing.T) {
 	mem := &fakeMem{}
-	if _, err := New(Config{Name: "x", Sets: 3, Ways: 1, MSHRs: 1}, mem); err == nil {
-		t.Error("non-power-of-two sets accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		next Fetcher
+	}{
+		{"non-power-of-two sets", Config{Name: "x", Sets: 3, Ways: 1, MSHRs: 1}, mem},
+		{"zero ways", Config{Name: "x", Sets: 4, Ways: 0, MSHRs: 1}, mem},
+		{"255 ways, too many for 8-bit LRU ranks", Config{Name: "x", Sets: 4, Ways: 255, MSHRs: 1}, mem},
+		{"zero MSHRs", Config{Name: "x", Sets: 4, Ways: 1, MSHRs: 0}, mem},
+		{"nil downstream", Config{Name: "x", Sets: 4, Ways: 1, MSHRs: 1}, nil},
+		{"unknown replacement policy", Config{Name: "x", Sets: 4, Ways: 1, MSHRs: 1, Repl: ReplKind(7)}, mem},
+	} {
+		if _, err := New(tc.cfg, tc.next); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
-	if _, err := New(Config{Name: "x", Sets: 4, Ways: 0, MSHRs: 1}, mem); err == nil {
-		t.Error("zero ways accepted")
+	if _, err := New(Config{Name: "x", Sets: 4, Ways: 254, MSHRs: 1}, mem); err != nil {
+		t.Errorf("254 ways rejected: %v", err)
 	}
-	if _, err := New(Config{Name: "x", Sets: 4, Ways: 1, MSHRs: 0}, mem); err == nil {
-		t.Error("zero MSHRs accepted")
+}
+
+// TestWideTagPanics checks that a line whose tag needs more than the
+// 31 bits a way key holds panics instead of hitting the way its
+// truncated key would alias, and that the widest tag that fits works.
+func TestWideTagPanics(t *testing.T) {
+	mem := &fakeMem{latency: 10}
+	c := smallCache(t, LRU, mem)
+	widest := c.Config().MaxLines() - uint64(c.Config().Sets) // set 0, tag 2^31-1
+	for _, line := range []uint64{0, widest} {
+		if !c.Access(line, true, 0, 0, nil) {
+			t.Fatalf("access of line %#x refused", line)
+		}
 	}
-	if _, err := New(Config{Name: "x", Sets: 4, Ways: 1, MSHRs: 1}, nil); err == nil {
-		t.Error("nil downstream accepted")
+	if s := c.Stats(); s.Misses != 2 {
+		t.Fatalf("%d misses, want 2: the widest tag aliased line 0", s.Misses)
 	}
-	if _, err := New(Config{Name: "x", Sets: 4, Ways: 1, MSHRs: 1, Repl: ReplKind(7)}, mem); err == nil {
-		t.Error("unknown replacement policy accepted")
+	// Tags 2^31 and 2^32-1: truncated to 31 bits, they alias the resident
+	// lines 0 and widest.
+	for _, line := range []uint64{c.Config().MaxLines(), widest + c.Config().MaxLines()} {
+		for name, call := range map[string]func(){
+			"Access":    func() { c.Access(line, false, 0, 0, nil) },
+			"Fetch":     func() { c.Fetch(line, 0, func(ticks.T) {}) },
+			"WriteBack": func() { c.WriteBack(line, 0) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%#x) did not panic", name, line)
+					}
+				}()
+				call()
+			}()
+		}
+	}
+	if s := c.Stats(); s.Hits != 0 || s.Misses != 2 || len(mem.writebacks) != 0 {
+		t.Errorf("a wide tag reached the cache's state: %+v, writebacks %v", s, mem.writebacks)
 	}
 }
 

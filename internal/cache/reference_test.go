@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -75,18 +76,23 @@ func TestMatchesReferenceModel(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var total Stats
-			wbPending := 0
+			wbPending, wraps := 0, 0
+			cfg := Config{Name: "diff", Sets: 8, Ways: 4, Latency: 3, Repl: tc.repl, MSHRs: 4}
 			for seed := int64(1); seed <= 8; seed++ {
-				s, n := matchReference(t, tc.repl, tc.wbInFlight, seed, 3000)
+				run := matchReference(t, cfg, tc.wbInFlight, rand.New(rand.NewSource(seed)), seed, 3000)
+				s := run.stats
 				total.Hits += s.Hits
 				total.Misses += s.Misses
 				total.MSHRMerges += s.MSHRMerges
 				total.Writebacks += s.Writebacks
 				total.Prefetches += s.Prefetches
 				total.Stalls += s.Stalls
-				wbPending += n
+				wbPending += run.wbPending
+				for _, n := range run.wraps {
+					wraps += n
+				}
 			}
-			t.Logf("%+v, %d writebacks of in-flight lines", total, wbPending)
+			t.Logf("%+v, %d writebacks of in-flight lines, %d LRU clock renumberings", total, wbPending, wraps)
 			if total.Hits == 0 || total.Misses == 0 || total.MSHRMerges == 0 || total.Writebacks == 0 || total.Prefetches == 0 || total.Stalls == 0 {
 				t.Errorf("streams left a path unexercised: %+v", total)
 			}
@@ -97,13 +103,125 @@ func TestMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// matchReference runs one stream and returns the final Stats and how
-// many writebacks named a line in flight.
-func matchReference(t *testing.T, repl ReplKind, wbInFlight bool, seed int64, steps int) (Stats, int) {
+// TestLRUStampWrap drives single-set LRU levels far past the range of
+// their 8-bit clocks beside the reference model's never-wrapping 64-bit
+// stamps. Victims, downstream calls and resident keys must stay
+// identical through every renumbering.
+func TestLRUStampWrap(t *testing.T) {
+	for _, ways := range []int{8, 12, 16} {
+		t.Run(fmt.Sprintf("%d-way", ways), func(t *testing.T) {
+			cfg := Config{Name: "wrap", Sets: 1, Ways: ways, Latency: 3, Repl: LRU, MSHRs: 4}
+			seed := int64(ways)
+			run := matchReference(t, cfg, false, rand.New(rand.NewSource(seed)), seed, 4000)
+			t.Logf("%+v, clock renumbered %d times", run.stats, run.wraps[0])
+			if s := run.stats; s.Hits == 0 || s.Misses == 0 || s.Writebacks == 0 {
+				t.Errorf("stream left a path unexercised: %+v", s)
+			}
+			if run.wraps[0] < 5 {
+				t.Errorf("clock renumbered %d times, want at least 5", run.wraps[0])
+			}
+		})
+	}
+}
+
+// FuzzCacheMatchesReference decodes arbitrary bytes into the operation
+// streams of TestMatchesReferenceModel and plays each on an LRU level
+// and an SRRIP level beside the reference model, in both of that test's
+// writeback modes. The first 8 bytes seed the downstream stubs. The LRU
+// level has one set, so an input of a few hundred touches wraps its
+// clock. Inputs are capped at 1 KiB to keep each run, and so the
+// fuzzer's minimization of a new input, short.
+func FuzzCacheMatchesReference(f *testing.F) {
+	f.Add(hammerStream(300))
+	for seed := int64(1); seed <= 4; seed++ {
+		data := make([]byte, 1024)
+		rand.New(rand.NewSource(seed)).Read(data)
+		f.Add(data)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 1024 {
+			data = data[:1024]
+		}
+		var seed [8]byte
+		copy(seed[:], data)
+		memSeed := int64(binary.LittleEndian.Uint64(seed[:]))
+		ops := data[min(8, len(data)):]
+		for _, cfg := range []Config{
+			{Name: "lru", Sets: 1, Ways: 8, Latency: 3, Repl: LRU, MSHRs: 4},
+			{Name: "srrip", Sets: 8, Ways: 4, Latency: 3, Repl: SRRIP, MSHRs: 4},
+		} {
+			for _, wbInFlight := range []bool{false, true} {
+				src := byteSource(ops)
+				matchReference(t, cfg, wbInFlight, &src, memSeed, len(ops)/3)
+			}
+		}
+	})
+}
+
+// hammerStream encodes ops operations on the fuzz LRU level's one set,
+// in matchReference's draw order: seven writebacks to each demand read
+// or write from the random PC, over sixteen lines, so the 8-way set
+// keeps evicting. Every operation draws all of its choices, so the
+// encoding stays aligned whatever the stubs do. It completes no fetch,
+// so once the MSHRs hold their fetches only hits, synchronous fills and
+// writebacks change the set. 300 operations wrap the set's clock in
+// both writeback modes.
+func hammerStream(ops int) []byte {
+	data := make([]byte, 8)
+	for op := 0; op < ops; op++ {
+		line := byte(2 * (op * 5 % 16)) // cycles over all sixteen lines
+		if op%8 != 0 {
+			data = append(data, 1, 65, line) // WriteBack
+		} else {
+			data = append(data, 1, 0, 3, line, byte(op%3), 1) // Access, a write if op%3 == 0
+		}
+	}
+	return data
+}
+
+// intner supplies matchReference's choices: a seeded *rand.Rand, or a
+// fuzz input read through byteSource.
+type intner interface{ Intn(n int) int }
+
+// byteSource reads one choice per byte, as the byte modulo the number of
+// outcomes, so every choice may have at most 256 outcomes. An exhausted
+// input reads as zeros.
+type byteSource []byte
+
+func (b *byteSource) Intn(n int) int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := int((*b)[0]) % n
+	*b = (*b)[1:]
+	return v
+}
+
+// lazy is a failure message's text, formatted only if a check fails: the
+// streams run thousands of operations that must not each pay for fmt.
+type lazy func() string
+
+func (f lazy) String() string { return f() }
+
+// refRun is what one matchReference stream reached.
+type refRun struct {
+	stats     Stats
+	wbPending int   // writebacks that named a line in flight
+	wraps     []int // per set: LRU clock renumberings (nil under SRRIP)
+}
+
+// matchReference plays steps operations, chosen by src, on a cfg level and
+// on the reference model; memSeed seeds both downstream stubs. Each
+// operation draws, in order: a time step (5), an operation kind (100),
+// then for a demand access a PC (4), a line (3*Sets*Ways, replaced by the
+// PC's cursor unless it is the last PC), a write (3) and whether to drop
+// the waiter (10); for a fetch or a writeback a line; for a completion,
+// if a fetch is held, which one and its delay (60).
+func matchReference(t *testing.T, cfg Config, wbInFlight bool, src intner, memSeed int64, steps int) refRun {
 	t.Helper()
-	cfg := Config{Name: "diff", Sets: 8, Ways: 4, Latency: 3, Repl: repl, MSHRs: 4}
-	refMem := &diffMem{rng: rand.New(rand.NewSource(seed))}
-	newMem := &diffMem{rng: rand.New(rand.NewSource(seed))}
+	refMem := &diffMem{rng: rand.New(rand.NewSource(memSeed))}
+	newMem := &diffMem{rng: rand.New(rand.NewSource(memSeed))}
 	ref := newRef(cfg, refMem)
 	c, err := New(cfg, newMem)
 	if err != nil {
@@ -116,60 +234,67 @@ func matchReference(t *testing.T, repl ReplKind, wbInFlight bool, seed int64, st
 		t.Fatal(err)
 	}
 
-	rng := rand.New(rand.NewSource(seed))
-	const universe = 3 * 8 * 4 // three lines per way: plenty of conflicts
+	universe := 3 * cfg.Sets * cfg.Ways // three lines per way: plenty of conflicts
+	run := refRun{}
+	var clock []uint8 // the LRU clocks after the previous operation
+	if c.clock != nil {
+		run.wraps = make([]int, cfg.Sets)
+		clock = make([]uint8, cfg.Sets)
+	}
 	pcs := []uint64{0x400100, 0x400200, 0x400300, 0x400400}
 	cursor := []uint64{0, 10, 20}
 	stride := []uint64{1, 3, 8}
 	done := func(mem *diffMem, op int) func(ticks.T) {
 		return func(at ticks.T) { mem.log = append(mem.log, event{"done", uint64(op), at}) }
 	}
-	now, wbPending := ticks.T(0), 0
+	now := ticks.T(0)
 	for op := 0; op < steps; op++ {
-		now += ticks.T(rng.Intn(5))
-		var desc string
+		now += ticks.T(src.Intn(5))
+		var desc lazy
 		var refOK, newOK bool
-		switch r := rng.Intn(100); {
+		switch r := src.Intn(100); {
 		case r < 45:
 			// The first three PCs walk strided streams, the last one
 			// accesses at random.
-			p := rng.Intn(len(pcs))
-			line := uint64(rng.Intn(universe))
+			p := src.Intn(len(pcs))
+			line := uint64(src.Intn(universe))
 			if p < len(pcs)-1 {
-				cursor[p] = (cursor[p] + stride[p]) % (2 * universe)
+				cursor[p] = (cursor[p] + stride[p]) % uint64(2*universe)
 				line = cursor[p]
 			}
-			write := rng.Intn(3) == 0
+			write := src.Intn(3) == 0
 			refDone, newDone := done(refMem, op), done(newMem, op)
-			if rng.Intn(10) == 0 {
+			if src.Intn(10) == 0 {
 				refDone, newDone = nil, nil
 			}
-			desc = fmt.Sprintf("Access(%d, write=%v, pc=%#x)", line, write, pcs[p])
-			refOK = ref.Access(line, write, pcs[p], now, refDone)
-			newOK = c.Access(line, write, pcs[p], now, newDone)
+			pc := pcs[p]
+			desc = func() string { return fmt.Sprintf("Access(%d, write=%v, pc=%#x)", line, write, pc) }
+			refOK = ref.Access(line, write, pc, now, refDone)
+			newOK = c.Access(line, write, pc, now, newDone)
 		case r < 60:
-			line := uint64(rng.Intn(universe))
-			desc = fmt.Sprintf("Fetch(%d)", line)
+			line := uint64(src.Intn(universe))
+			desc = func() string { return fmt.Sprintf("Fetch(%d)", line) }
 			refOK = ref.Fetch(line, now, done(refMem, op))
 			newOK = c.Fetch(line, now, done(newMem, op))
 		case r < 70:
-			line := uint64(rng.Intn(universe))
+			line := uint64(src.Intn(universe))
 			if _, inFlight := ref.pending[line]; inFlight {
 				if !wbInFlight {
 					continue
 				}
-				wbPending++
+				run.wbPending++
 			}
-			desc = fmt.Sprintf("WriteBack(%d)", line)
+			desc = func() string { return fmt.Sprintf("WriteBack(%d)", line) }
 			refOK = ref.WriteBack(line, now)
 			newOK = c.WriteBack(line, now)
 		default:
 			if len(refMem.held) == 0 {
 				continue
 			}
-			j := rng.Intn(len(refMem.held))
-			at := now + ticks.T(rng.Intn(60))
-			desc = fmt.Sprintf("complete held fetch %d of %d at %v", j, len(refMem.held), at)
+			j := src.Intn(len(refMem.held))
+			at := now + ticks.T(src.Intn(60))
+			n := len(refMem.held)
+			desc = func() string { return fmt.Sprintf("complete held fetch %d of %d at %v", j, n, at) }
 			refFill, newFill := refMem.held[j], newMem.held[j]
 			refMem.held = slices.Delete(refMem.held, j, j+1)
 			newMem.held = slices.Delete(newMem.held, j, j+1)
@@ -177,7 +302,7 @@ func matchReference(t *testing.T, repl ReplKind, wbInFlight bool, seed int64, st
 			newFill(at)
 			refOK, newOK = true, true
 		}
-		where := fmt.Sprintf("seed %d op %d %s", seed, op, desc)
+		where := lazy(func() string { return fmt.Sprintf("seed %d op %d %s", memSeed, op, desc) })
 		if refOK != newOK {
 			t.Fatalf("%s: returned %v, reference %v", where, newOK, refOK)
 		}
@@ -196,20 +321,30 @@ func matchReference(t *testing.T, repl ReplKind, wbInFlight bool, seed int64, st
 		checkSameLines(t, where, c, ref, !wbInFlight)
 		// Both logs matched: start the next comparison from empty.
 		refMem.log, newMem.log = refMem.log[:0], newMem.log[:0]
+		// A renumbering rewinds a clock from its top to at most Ways, and
+		// one operation touches a set only a few times, so a clock that
+		// went down was renumbered.
+		for s := range clock {
+			if c.clock[s] < clock[s] {
+				run.wraps[s]++
+			}
+		}
+		copy(clock, c.clock)
 	}
-	return c.Stats(), wbPending
+	run.stats = c.Stats()
+	return run
 }
 
 // checkSameLines compares the resident lines, way by way, and, if unique
 // is set, checks that no set holds a tag twice.
-func checkSameLines(t *testing.T, where string, c *Cache, ref *refCache, unique bool) {
+func checkSameLines(t *testing.T, where fmt.Stringer, c *Cache, ref *refCache, unique bool) {
 	t.Helper()
 	for s, set := range ref.sets {
 		for w, l := range set {
 			i := s*c.cfg.Ways + w
-			var want uint64
+			var want uint32
 			if l.valid {
-				want = l.tag<<1 | 1
+				want = uint32(l.tag)<<1 | 1
 			}
 			if c.keys[i] != want || c.dirty[i] != l.dirty {
 				t.Fatalf("%s: set %d way %d holds key %#x dirty %v, reference %+v", where, s, w, c.keys[i], c.dirty[i], l)
@@ -229,8 +364,9 @@ func checkSameLines(t *testing.T, where string, c *Cache, ref *refCache, unique 
 
 // refCache is the reference model TestMatchesReferenceModel checks Cache
 // against: the straightforward layout the flat one replaced, with one
-// struct per way and a map from line address to in-flight MSHR slot. It
-// is kept deliberately naive; only its observable behaviour matters.
+// struct per way, a map from line address to in-flight MSHR slot, 64-bit
+// tags and one global, never-wrapping 64-bit LRU counter. It is kept
+// deliberately naive; only its observable behaviour matters.
 type refCache struct {
 	cfg      Config
 	sets     [][]refLine

@@ -47,11 +47,14 @@ func TestSystemStepAllocFree(t *testing.T) {
 }
 
 // TestNewSystemFootprint bounds what building the paper's 4-core system
-// allocates. Most of it is cache way state: one key word per way, a
-// dirty byte and the policy's byte (SRRIP) or word (LRU), about 1.9 MB
-// over the 8 MB LLC and four 512 KB L2s and 48 KB L1Ds.
+// allocates. Most of it is cache way state, about 0.96 MiB:
+//   - the 8 MB SRRIP LLC's 131,072 ways: a 4 B key, 1 B dirty and 1 B
+//     RRPV each, 0.75 MiB in all;
+//   - each 512 KB 8-way L2 (8192 ways, 1024 sets) and 48 KB 12-way L1D
+//     (768 ways, 64 sets): a 4 B key, 1 B dirty and 1 B LRU stamp per
+//     way plus 1 B of clock per set, 49 KiB and 4.56 KiB, four of each.
 func TestNewSystemFootprint(t *testing.T) {
-	const limit = 2.5 * 1024 * 1024
+	const limit = 1.5 * 1024 * 1024
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := NewSystem(DefaultSystemConfig(1024))
@@ -63,5 +66,32 @@ func TestNewSystemFootprint(t *testing.T) {
 	t.Logf("NewSystem allocated %.2f MB", float64(got)/(1024*1024))
 	if got > limit {
 		t.Errorf("NewSystem allocated %.2f MB, want <= %.2f MB", float64(got)/(1024*1024), limit/(1024*1024))
+	}
+}
+
+// TestNewSystemRejectsWideTags checks that NewSystem refuses a memory
+// whose line addresses would give some cache level a tag wider than its
+// 32-bit way keys hold, and builds the default one.
+func TestNewSystemRejectsWideTags(t *testing.T) {
+	cfg := DefaultSystemConfig(1024)
+	if _, err := NewSystem(cfg); err != nil {
+		t.Fatalf("default system rejected: %v", err)
+	}
+	cfg.DRAM.Org.Rows = 1 << 30
+	if _, err := NewSystem(cfg); err == nil {
+		t.Fatal("NewSystem accepted 1<<30 rows per bank: its line addresses overflow every level's 31-bit tags")
+	} else {
+		t.Log(err)
+	}
+	// 1<<22 rows make 2^36 lines. The 64-set L1D tags 2^37 lines: enough
+	// for demand accesses, but not for prefetches up to two strides past
+	// them.
+	cfg.DRAM.Org.Rows = 1 << 22
+	if _, err := NewSystem(cfg); err == nil {
+		t.Error("NewSystem accepted prefetches reaching 3 * 2^36 lines past a 64-set L1D's 2^37")
+	}
+	cfg.Prefetch = false
+	if _, err := NewSystem(cfg); err != nil {
+		t.Errorf("2^36 lines without a prefetcher rejected: %v", err)
 	}
 }

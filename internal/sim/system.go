@@ -149,6 +149,29 @@ func (a *memAdapter) retry(now ticks.T) {
 	}
 }
 
+// ipStrideDegree is how many strides ahead the L1D prefetcher fetches.
+const ipStrideDegree = 2
+
+// checkTagWidth rejects a memory of lines cache lines if some level could
+// see a line address whose tag does not fit its 32-bit way keys. Cores
+// address [0, lines); a prefetch target is a demand line plus up to
+// ipStrideDegree strides, each shorter than lines, so with the
+// prefetcher on every address is below (1+ipStrideDegree)*lines. A level
+// with no sets is left to cache.New to reject.
+func checkTagWidth(lines uint64, prefetch bool, levels ...cache.Config) error {
+	reach := uint64(1) // how many times lines the addresses span
+	if prefetch {
+		reach += ipStrideDegree
+	}
+	for _, l := range levels {
+		if l.Sets > 0 && lines > l.MaxLines()/reach {
+			return fmt.Errorf("sim: cache %s can tag %d lines, fewer than %d× the memory's %d lines",
+				l.Name, l.MaxLines(), reach, lines)
+		}
+	}
+	return nil
+}
+
 // NewSystem builds and wires a System.
 func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.Cores <= 0 {
@@ -176,18 +199,39 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		return nil, err
 	}
 
-	eng := NewEngine()
-	adapter := &memAdapter{ctrl: ctrl}
 	lineBytes := dcfg.Org.LineBytes
-
-	llc, err := cache.New(cache.Config{
+	llcCfg := cache.Config{
 		Name:    "LLC",
 		Sets:    cache.SetsFor(cfg.LLCSizeKB*cache.KB, cfg.LLCWays, lineBytes),
 		Ways:    cfg.LLCWays,
 		Latency: cfg.LLCLatency,
 		Repl:    cache.SRRIP,
 		MSHRs:   cfg.MSHRsPerCore * cfg.Cores,
-	}, adapter)
+	}
+	l2Cfg := cache.Config{
+		Name:    "L2",
+		Sets:    cache.SetsFor(cfg.L2SizeKB*cache.KB, cfg.L2Ways, lineBytes),
+		Ways:    cfg.L2Ways,
+		Latency: cfg.L2Latency,
+		Repl:    cache.LRU,
+		MSHRs:   cfg.MSHRsPerCore,
+	}
+	l1Cfg := cache.Config{
+		Name:    "L1D",
+		Sets:    cache.SetsFor(cfg.L1DSizeKB*cache.KB, cfg.L1DWays, lineBytes),
+		Ways:    cfg.L1DWays,
+		Latency: cfg.L1DLatency,
+		Repl:    cache.LRU,
+		MSHRs:   16,
+	}
+	lines := mapper.Lines()
+	if err := checkTagWidth(lines, cfg.Prefetch, llcCfg, l2Cfg, l1Cfg); err != nil {
+		return nil, err
+	}
+
+	eng := NewEngine()
+	adapter := &memAdapter{ctrl: ctrl}
+	llc, err := cache.New(llcCfg, adapter)
 	if err != nil {
 		return nil, err
 	}
@@ -209,32 +253,19 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		return nil, fmt.Errorf("sim: workload mix has %d entries for %d cores", len(names), cfg.Cores)
 	}
 
-	lines := mapper.Lines()
 	for i := 0; i < cfg.Cores; i++ {
-		l2, err := cache.New(cache.Config{
-			Name:    fmt.Sprintf("L2.%d", i),
-			Sets:    cache.SetsFor(cfg.L2SizeKB*cache.KB, cfg.L2Ways, lineBytes),
-			Ways:    cfg.L2Ways,
-			Latency: cfg.L2Latency,
-			Repl:    cache.LRU,
-			MSHRs:   cfg.MSHRsPerCore,
-		}, llc)
+		l2Cfg.Name = fmt.Sprintf("L2.%d", i)
+		l2, err := cache.New(l2Cfg, llc)
 		if err != nil {
 			return nil, err
 		}
-		l1, err := cache.New(cache.Config{
-			Name:    fmt.Sprintf("L1D.%d", i),
-			Sets:    cache.SetsFor(cfg.L1DSizeKB*cache.KB, cfg.L1DWays, lineBytes),
-			Ways:    cfg.L1DWays,
-			Latency: cfg.L1DLatency,
-			Repl:    cache.LRU,
-			MSHRs:   16,
-		}, l2)
+		l1Cfg.Name = fmt.Sprintf("L1D.%d", i)
+		l1, err := cache.New(l1Cfg, l2)
 		if err != nil {
 			return nil, err
 		}
 		if cfg.Prefetch {
-			if err := l1.AttachIPStride(256, 2); err != nil {
+			if err := l1.AttachIPStride(256, ipStrideDegree); err != nil {
 				return nil, err
 			}
 		}
