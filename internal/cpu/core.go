@@ -69,11 +69,20 @@ type robEntry struct {
 	completeAt ticks.T // pendingCompletion until the load's data returns
 }
 
+// runStream is a Stream that can hand over a run of non-memory records
+// by count. SkipNonMem consumes up to max of the non-memory records that
+// come next and reports how many; 0 means the next record is a memory
+// record.
+type runStream interface {
+	SkipNonMem(max int) int
+}
+
 // Core is one simulated hardware context.
 type Core struct {
 	id     int
 	cfg    Config
 	stream trace.Stream
+	runs   runStream // stream, when it hands over non-memory runs
 	mem    MemPort
 
 	rob   []robEntry
@@ -123,6 +132,7 @@ func New(id int, cfg Config, stream trace.Stream, mem MemPort, offset, lines uin
 		lines:    lines,
 		lastTick: -CyclePeriod,
 	}
+	c.runs, _ = stream.(runStream)
 	for slot := range c.loadDone {
 		c.loadDone[slot] = func(at ticks.T) {
 			c.rob[slot].completeAt = at
@@ -244,6 +254,19 @@ func (c *Core) issue(now ticks.T) {
 	for n := 0; n < c.cfg.IssueWidth; n++ {
 		if c.count == len(c.rob) {
 			break
+		}
+		if c.runs != nil && !c.hasStalled {
+			// Non-memory records always dispatch, so a run of them
+			// fills its slots in one step.
+			if k := c.runs.SkipNonMem(min(c.cfg.IssueWidth-n, len(c.rob)-c.count)); k > 0 {
+				for i := 0; i < k; i++ {
+					c.rob[(c.head+c.count+i)%len(c.rob)].completeAt = now + CyclePeriod
+				}
+				c.count += k
+				n += k - 1
+				progressed = true
+				continue
+			}
 		}
 		rec, ok := c.nextRecord()
 		if !ok {

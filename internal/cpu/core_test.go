@@ -260,3 +260,97 @@ func TestTickAllocFree(t *testing.T) {
 		t.Fatalf("guard did not exercise loads and retries: %+v", s)
 	}
 }
+
+// accessLog records every access a core makes, refusing every fifth so
+// stalled records and retries interleave with runs of non-memory records.
+type accessLog struct {
+	n   int
+	log []uint64
+}
+
+func (p *accessLog) Access(line uint64, write bool, pc uint64, now ticks.T, done func(ticks.T)) bool {
+	p.n++
+	if p.n%5 == 0 {
+		return false
+	}
+	w := uint64(0)
+	if write {
+		w = 1
+	}
+	p.log = append(p.log, uint64(now)<<1|w, line, pc)
+	if done != nil {
+		done(now + ticks.T(p.n%40))
+	}
+	return true
+}
+
+// TestRunSkipMatchesNext checks that a core over a shared replay, which
+// takes runs of non-memory records by count, behaves exactly like a core
+// pulling the same records one at a time: the same accesses at the same
+// times, and the same counters after every cycle.
+func TestRunSkipMatchesNext(t *testing.T) {
+	for _, name := range []string{"433.milc", "444.namd"} {
+		memo, err := trace.WorkloadMemo(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		synth, err := trace.NewWorkloadStream(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := make([]trace.Record, 60_000)
+		for i := range recs {
+			recs[i], _ = synth.Next()
+		}
+		var slicePort, replayPort accessLog
+		byRecord := newCore(t, DefaultConfig(), recs, &slicePort)
+		byRun, err := New(0, DefaultConfig(), memo.Replay(), &replayPort, 0, 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for now := ticks.T(0); byRecord.Stats().Instructions < 50_000; now += CyclePeriod {
+			byRecord.Tick(now)
+			byRun.Tick(now)
+			if a, b := byRecord.Stats(), byRun.Stats(); a != b {
+				t.Fatalf("%s at %d: stats %+v by record, %+v by run", name, now, a, b)
+			}
+		}
+		if len(slicePort.log) != len(replayPort.log) {
+			t.Fatalf("%s: %d accesses by record, %d by run", name, len(slicePort.log)/3, len(replayPort.log)/3)
+		}
+		for i := range slicePort.log {
+			if slicePort.log[i] != replayPort.log[i] {
+				t.Fatalf("%s: access %d differs", name, i/3)
+			}
+		}
+	}
+}
+
+// TestTickAllocFreeReplay is TestTickAllocFree over a shared replay
+// whose records are already generated, the stream a System's cores read.
+func TestTickAllocFreeReplay(t *testing.T) {
+	memo, err := trace.WorkloadMemo("433.milc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := memo.Replay()
+	for i := 0; i < 100_000; i++ {
+		warm.Next()
+	}
+	port := &syncPort{}
+	c, err := New(0, DefaultConfig(), memo.Replay(), port, 0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := ticks.T(0)
+	allocs := testing.AllocsPerRun(5000, func() {
+		c.Tick(now)
+		now += CyclePeriod
+	})
+	if allocs != 0 {
+		t.Errorf("Core.Tick allocates %.2f objects per cycle, want 0", allocs)
+	}
+	if s := c.Stats(); s.Loads == 0 || s.Instructions == 0 || port.n < 7 {
+		t.Fatalf("guard did not exercise loads and retries: %+v", s)
+	}
+}

@@ -183,6 +183,13 @@ type runner struct {
 	mu   sync.Mutex
 	seed map[string][]byte // imported shard entries, by store key
 	ran  []shard.Entry     // executed runs, collected for ExportShard
+	// memos pins, from a workload's first execution to the end of the
+	// session, the shared instruction stream its cores replay. The
+	// process table holds memos weakly, and a sweep interleaves
+	// workloads across cells, so without the pin a collection between
+	// two cells of one workload would discard its memo and the next
+	// cell would generate the sequence again.
+	memos map[string]*trace.Memo
 }
 
 func newRunner(scale Scale) *runner { return newRunnerWith(scale, SessionOptions{}) }
@@ -198,6 +205,24 @@ func newRunnerWith(scale Scale, opts SessionOptions) *runner {
 		store:     opts.Store,
 		shardSpec: opts.Shard,
 	}
+}
+
+// pinMemo pins workload's shared instruction stream for the session.
+func (r *runner) pinMemo(workload string) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.memos[workload] != nil {
+		return nil
+	}
+	m, err := trace.WorkloadMemo(workload)
+	if err != nil {
+		return err
+	}
+	if r.memos == nil {
+		r.memos = make(map[string]*trace.Memo)
+	}
+	r.memos[workload] = m
+	return nil
 }
 
 // run returns one simulation's result, trying the cheapest source first:
@@ -237,6 +262,9 @@ func (r *runner) run(v Variant, workload string) (sim.RunResult, error) {
 		}
 		if !r.shardSpec.Owns(skey) {
 			return sim.RunResult{}, fmt.Errorf("%w: %s", ErrShardSkipped, skey)
+		}
+		if err := r.pinMemo(workload); err != nil {
+			return sim.RunResult{}, err
 		}
 		cfg, err := configure(v, workload)
 		if err != nil {

@@ -269,12 +269,12 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 				return nil, err
 			}
 		}
-		stream, err := trace.NewWorkloadStream(names[i])
+		memo, err := trace.WorkloadMemo(names[i])
 		if err != nil {
 			return nil, err
 		}
 		offset := uint64(i) * (lines / uint64(cfg.Cores))
-		core, err := cpu.New(i, cfg.Core, stream, l1, offset, lines)
+		core, err := cpu.New(i, cfg.Core, memo.Replay(), l1, offset, lines)
 		if err != nil {
 			return nil, err
 		}

@@ -116,3 +116,12 @@ func NewWorkloadStream(name string) (*Synth, error) {
 	}
 	return NewSynth(SpecFor(w))
 }
+
+// WorkloadMemo returns the process's shared memo of a named workload.
+func WorkloadMemo(name string) (*Memo, error) {
+	w, err := Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return shared(SpecFor(w))
+}

@@ -45,10 +45,11 @@ type SynthSpec struct {
 // Validate reports whether the spec is generable.
 func (s SynthSpec) Validate() error {
 	switch {
-	case s.MemRatio < 0 || s.MemRatio > 1,
-		s.HotFrac < 0 || s.HotFrac > 1,
-		s.StreamFrac < 0 || s.StreamFrac > 1,
-		s.WriteFrac < 0 || s.WriteFrac > 1:
+	// Written so that NaN, which fails every comparison, fails too.
+	case !(s.MemRatio >= 0 && s.MemRatio <= 1),
+		!(s.HotFrac >= 0 && s.HotFrac <= 1),
+		!(s.StreamFrac >= 0 && s.StreamFrac <= 1),
+		!(s.WriteFrac >= 0 && s.WriteFrac <= 1):
 		return fmt.Errorf("trace: %s: fractions must be in [0,1]: %+v", s.Name, s)
 	case s.HotLines == 0 || s.FootprintLines == 0:
 		return fmt.Errorf("trace: %s: hot set and footprint must be non-empty", s.Name)
@@ -63,7 +64,6 @@ type Synth struct {
 	spec      SynthSpec
 	rng       *rand.Rand
 	streamPos uint64
-	pcPool    []uint64
 }
 
 // NewSynth builds the generator for a spec.
@@ -71,12 +71,7 @@ func NewSynth(spec SynthSpec) (*Synth, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(spec.Seed))
-	pcs := make([]uint64, 64)
-	for i := range pcs {
-		pcs[i] = 0x400000 + uint64(i)*4
-	}
-	return &Synth{spec: spec, rng: rng, pcPool: pcs}, nil
+	return &Synth{spec: spec, rng: rand.New(rand.NewSource(spec.Seed))}, nil
 }
 
 // Spec returns the generating spec.
@@ -85,7 +80,7 @@ func (s *Synth) Spec() SynthSpec { return s.spec }
 // Next implements Stream; it never ends.
 func (s *Synth) Next() (Record, bool) {
 	sp := &s.spec
-	rec := Record{PC: s.pcPool[s.rng.Intn(len(s.pcPool))]}
+	rec := Record{PC: pcOf(s.rng.Intn(pcCount))}
 	if s.rng.Float64() >= sp.MemRatio {
 		return rec, true
 	}
@@ -94,26 +89,13 @@ func (s *Synth) Next() (Record, bool) {
 	switch {
 	case s.rng.Float64() < sp.HotFrac:
 		rec.Line = sp.Base + uint64(s.rng.Int63())%sp.HotLines
-		rec.PC = s.pcPool[0]
+		rec.PC = pcOf(0)
 	case s.rng.Float64() < sp.StreamFrac:
 		s.streamPos = (s.streamPos + 1) % sp.FootprintLines
 		rec.Line = sp.Base + s.streamPos
-		rec.PC = s.pcPool[1]
+		rec.PC = pcOf(1)
 	default:
 		rec.Line = sp.Base + uint64(s.rng.Int63())%sp.FootprintLines
 	}
 	return rec, true
-}
-
-// Take materializes the next n records of a stream, e.g. for file export.
-func Take(s Stream, n int) []Record {
-	recs := make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		r, ok := s.Next()
-		if !ok {
-			break
-		}
-		recs = append(recs, r)
-	}
-	return recs
 }

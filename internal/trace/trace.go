@@ -1,20 +1,13 @@
 // Package trace defines the instruction-trace representation consumed by the
-// simulated cores, a binary on-disk format, and a deterministic synthetic
-// workload generator.
+// simulated cores, a deterministic synthetic workload generator, and the
+// process-wide memo through which cores share each generated sequence.
 //
 // The paper evaluates 50 SPEC2006/SPEC2017/CloudSuite traces categorized by
 // row-buffer misses per kilo-instruction (RBMPKI, Table 4). Those traces are
 // proprietary, so this package synthesizes address streams whose RBMPKI
 // lands in the same High/Medium/Low bands — the property the paper's
-// methodology keys on. DESIGN.md documents the substitution.
+// methodology keys on.
 package trace
-
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"io"
-)
 
 // Record is one trace entry: a (possibly memory-accessing) instruction.
 type Record struct {
@@ -47,94 +40,4 @@ func (s *SliceStream) Next() (Record, bool) {
 	r := s.recs[s.pos]
 	s.pos++
 	return r, true
-}
-
-// LoopStream replays a fixed record slice forever.
-type LoopStream struct {
-	recs []Record
-	pos  int
-}
-
-// NewLoopStream returns an infinite stream cycling over recs.
-func NewLoopStream(recs []Record) (*LoopStream, error) {
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("trace: cannot loop an empty record set")
-	}
-	return &LoopStream{recs: recs}, nil
-}
-
-// Next implements Stream.
-func (s *LoopStream) Next() (Record, bool) {
-	r := s.recs[s.pos]
-	s.pos = (s.pos + 1) % len(s.recs)
-	return r, true
-}
-
-const fileMagic = "PRACTRC1"
-
-// Write serializes records in the package's binary format:
-// an 8-byte magic, then per record a flags byte, PC and Line as varints.
-func Write(w io.Writer, recs []Record) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(fileMagic); err != nil {
-		return fmt.Errorf("trace: writing header: %w", err)
-	}
-	var buf [binary.MaxVarintLen64]byte
-	for _, r := range recs {
-		var flags byte
-		if r.IsMem {
-			flags |= 1
-		}
-		if r.Write {
-			flags |= 2
-		}
-		if err := bw.WriteByte(flags); err != nil {
-			return fmt.Errorf("trace: writing record: %w", err)
-		}
-		n := binary.PutUvarint(buf[:], r.PC)
-		if _, err := bw.Write(buf[:n]); err != nil {
-			return fmt.Errorf("trace: writing record: %w", err)
-		}
-		if r.IsMem {
-			n = binary.PutUvarint(buf[:], r.Line)
-			if _, err := bw.Write(buf[:n]); err != nil {
-				return fmt.Errorf("trace: writing record: %w", err)
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a trace written by Write.
-func Read(r io.Reader) ([]Record, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(fileMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	if string(magic) != fileMagic {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	var recs []Record
-	for {
-		flags, err := br.ReadByte()
-		if err == io.EOF {
-			return recs, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading record: %w", err)
-		}
-		var rec Record
-		rec.IsMem = flags&1 != 0
-		rec.Write = flags&2 != 0
-		if rec.PC, err = binary.ReadUvarint(br); err != nil {
-			return nil, fmt.Errorf("trace: reading PC: %w", err)
-		}
-		if rec.IsMem {
-			if rec.Line, err = binary.ReadUvarint(br); err != nil {
-				return nil, fmt.Errorf("trace: reading line: %w", err)
-			}
-		}
-		recs = append(recs, rec)
-	}
 }
