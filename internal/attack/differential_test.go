@@ -227,3 +227,51 @@ func TestQuietPhaseElision(t *testing.T) {
 		t.Errorf("elided %d of %d controller cycles, want at least half on a paced probe", elided, total)
 	}
 }
+
+// TestAttackIdleTicks pins the exact controller wake-up on the attack
+// path: under a back-to-back prober and a hammerer in another bank, the
+// demand clock must tick the controller almost only in cycles that issue
+// a command. A wake-up that counted commands FR-FCFS will not serve (a
+// younger hit behind an oldest hit still inside tRCD, a PRE for a request
+// that is not its bank's oldest) or that ticked through every cycle of an
+// Alert shows here as ticks with no command.
+func TestAttackIdleTicks(t *testing.T) {
+	for _, nbo := range []int{32, 1024} {
+		dcfg := dram.DefaultConfig(nbo)
+		dcfg.Org.Rows = 1024
+		env, err := NewEnv(dcfg, memctrl.DefaultConfig(), mitigation.NewABOOnly())
+		if err != nil {
+			t.Fatal(err)
+		}
+		prober, err := NewProber(env, 0, []int{3}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hammer, err := NewHammerer(env, 1, 42, []int{43, 44})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prober.Start()
+		if err := hammer.Hammer(8192, nil); err != nil {
+			t.Fatal(err)
+		}
+		env.Run(ticks.FromUS(200))
+		prober.Stop()
+		if !hammer.Active() {
+			t.Fatalf("NBO %d: the hammer finished before the window closed", nbo)
+		}
+
+		s := env.Mod.Stats()
+		cmds := s.ACTs + s.PREs + s.RDs + s.WRs + s.REFs + s.RFMs + s.RFMpbs
+		ticked := int64(env.Eng.Now()/memctrl.CyclePeriod) - env.ElidedCycles()
+		if s.AlertsAsserted == 0 && nbo == 32 {
+			t.Fatalf("NBO %d: the hammer raised no Alert", nbo)
+		}
+		idle := float64(ticked-cmds) / float64(ticked)
+		t.Logf("NBO %d: %d controller ticks, %d commands, %d Alerts: %.1f %% of ticks issue nothing",
+			nbo, ticked, cmds, s.AlertsAsserted, 100*idle)
+		if idle > 0.20 {
+			t.Errorf("NBO %d: %.1f %% of controller ticks issue no command, want at most 20 %%", nbo, 100*idle)
+		}
+	}
+}

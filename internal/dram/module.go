@@ -83,6 +83,7 @@ const (
 type bank struct {
 	state   bankState
 	openRow int
+	rank    int // Org.RankOf of this bank, fixed at New
 
 	actReadyAt   ticks.T // earliest next ACT (tRP after PRE, tRC after ACT)
 	rwReadyAt    ticks.T // earliest RD/WR after ACT (tRCD)
@@ -128,6 +129,7 @@ func New(cfg Config) (*Module, error) {
 	}
 	for i := range m.banks {
 		b := &m.banks[i]
+		b.rank = cfg.Org.RankOf(i)
 		b.queue = newQueue(cfg, &b.counters)
 	}
 	return m, nil
@@ -218,7 +220,7 @@ func (m *Module) ReadyAt(cmd Cmd) ticks.T {
 		if b.state != bankIdle {
 			return ticks.Never
 		}
-		return max(at, b.actReadyAt, b.blockedUntil, m.rankBlockedUntil[m.cfg.Org.RankOf(cmd.Bank)])
+		return max(at, b.actReadyAt, b.blockedUntil, m.rankBlockedUntil[b.rank])
 	case CmdPRE:
 		b := &m.banks[cmd.Bank]
 		if b.state != bankActive {
@@ -234,7 +236,7 @@ func (m *Module) ReadyAt(cmd Cmd) ticks.T {
 		if b.state != bankActive {
 			return ticks.Never
 		}
-		return max(at, b.rwReadyAt, b.blockedUntil, m.rankBlockedUntil[m.cfg.Org.RankOf(cmd.Bank)])
+		return max(at, b.rwReadyAt, b.blockedUntil, m.rankBlockedUntil[b.rank])
 	case CmdREFab:
 		rank := cmd.Bank
 		at = max(at, m.rankBlockedUntil[rank])
@@ -261,7 +263,7 @@ func (m *Module) ReadyAt(cmd Cmd) ticks.T {
 		if b.state != bankIdle {
 			return ticks.Never
 		}
-		return max(at, b.blockedUntil, m.rankBlockedUntil[m.cfg.Org.RankOf(cmd.Bank)])
+		return max(at, b.blockedUntil, m.rankBlockedUntil[b.rank])
 	default:
 		return ticks.Never
 	}

@@ -66,8 +66,8 @@ type funcNode struct {
 	obj   *types.Func
 	decl  *ast.FuncDecl
 	pkg   *Package
-	fires bool      // contains a FireFuncs call (set by failpoint pass)
-	io    []ioSite  // direct I/O calls in the body
+	fires bool     // contains a FireFuncs call (set by failpoint pass)
+	io    []ioSite // direct I/O calls in the body
 	calls []*types.Func
 }
 

@@ -101,6 +101,11 @@ type Controller struct {
 	aboDeadln  ticks.T
 
 	hitStreak []int
+	bankRank  []int // Org.RankOf per bank, so maintenanceBlocked does not divide
+	// plan is the earliest ReadyAt among the commands the current Tick
+	// considered and refused. Tick resets it, folds each refusal into it
+	// through ready, and returns it; nothing reads it between ticks.
+	plan ticks.T
 	// triedBank is issueFrom's per-call "bank already considered" scratch,
 	// stamped with triedGen so resetting it is one counter increment
 	// instead of an O(banks) clear per call.
@@ -144,10 +149,14 @@ func New(cfg Config, mod *dram.Module, mapper AddressMapper, policy mitigation.P
 		refDebt:    make([]int, org.Ranks),
 		refCount:   make([]int64, org.Ranks),
 		hitStreak:  make([]int, org.Banks()),
+		bankRank:   make([]int, org.Banks()),
 		triedBank:  make([]uint64, org.Banks()),
 		writeLines: make(map[uint64]int),
 	}
 	c.pbPolicy, _ = policy.(mitigation.PerBankPolicy)
+	for b := range c.bankRank {
+		c.bankRank[b] = org.RankOf(b)
+	}
 	for r := range c.nextRefAt {
 		// Stagger rank refreshes across the tREFI period, as real
 		// controllers do, so refresh blackouts do not align.
@@ -234,14 +243,23 @@ func (c *Controller) wake(now ticks.T) {
 
 // Tick advances the controller by one cycle; it issues at most one DRAM
 // command. now must advance by CyclePeriod between calls.
-func (c *Controller) Tick(now ticks.T) {
+//
+// A cycle that issues no command reports idle and the controller's next
+// work time, as NextWork defines it but exact: the cycle's pass visited
+// every command FR-FCFS and the maintenance rules would consider, in the
+// order they would consider them, and refused each one, so until the
+// earliest of their ReadyAt times (or a deadline, or a new request) every
+// later cycle would repeat the same refusals. After a cycle that issued a
+// command, idle is false and next is 0: the caller asks NextWork.
+func (c *Controller) Tick(now ticks.T) (next ticks.T, idle bool) {
 	c.mod.Maintain(now)
 	c.accrueMaintenance(now)
 
-	if c.serviceMaintenance(now) {
-		return
+	c.plan = ticks.Never
+	if c.serviceMaintenance(now) || c.schedule(now) {
+		return 0, false
 	}
-	c.schedule(now)
+	return c.wakeAt(now, c.plan), true
 }
 
 // NextWork reports the earliest time, after now, at which the controller
@@ -254,28 +272,38 @@ func (c *Controller) Tick(now ticks.T) {
 //     bank), and the pending maintenance commands (RFMab, RFMpb, REFab, or
 //     a PRE that drains their scope);
 //   - the time-driven deadlines: refresh accrual, the policy's next
-//     scheduled RFM and the DRAM's next housekeeping action;
+//     scheduled RFM, the DRAM's next housekeeping action and an armed
+//     Alert's tABOACT deadline;
 //
 // clamped to at least now+CyclePeriod, or ticks.Never when none exists.
 // The candidate set over-approximates what may actually issue — it
-// ignores the FR-FCFS cap and the banks maintenance holds quiescent — which
-// only ever wakes the controller early. Two states change without a
-// command issuing and so keep the answer at the next cycle: an asserted
-// Alert (the tABOACT budget and deadline advance on their own) and a
-// pending flip of the write-drain mode. Every controller cycle strictly
-// before the reported time is provably a no-op, so a demand-driven clock
-// may skip it; a request arriving earlier re-arms the clock through
-// SetWaker.
+// ignores the FR-FCFS order and cap and the banks maintenance holds
+// quiescent — which only ever wakes the controller early; an idle Tick
+// reports the exact answer instead. Two states change without a command
+// issuing and without a deadline to wait for, and so keep the answer at
+// the next cycle: an Alert whose Back-Off has yet to arm its deadline or
+// whose ACT budget is spent, and a pending flip of the write-drain mode.
+// Every controller cycle strictly before the reported time is provably a
+// no-op, so a demand-driven clock may skip it; a request arriving earlier
+// re-arms the clock through SetWaker.
 func (c *Controller) NextWork(now ticks.T) ticks.T {
+	return c.wakeAt(now, c.earliestCommand(now+CyclePeriod))
+}
+
+// wakeAt completes a next-work answer (see NextWork) from cmdAt, the
+// earliest time a command the controller would issue becomes legal.
+func (c *Controller) wakeAt(now, cmdAt ticks.T) ticks.T {
 	soon := now + CyclePeriod
-	if c.mod.AlertAsserted() || c.drainModeFlips() {
-		return soon
-	}
-	next := c.earliestCommand(soon)
-	if next <= soon {
+	if cmdAt <= soon || c.drainModeFlips() {
 		return soon // the common answer under load: skip the deadlines
 	}
-	next = min(next, c.policy.NextDue(now), c.mod.NextMaintenance(now))
+	next := min(cmdAt, c.policy.NextDue(now), c.mod.NextMaintenance(now))
+	if c.mod.AlertAsserted() && !c.aboQueued {
+		if c.aboDeadln == 0 || c.aboBudget <= 0 {
+			return soon // the Back-Off arms or queues its RFMs next cycle
+		}
+		next = min(next, c.aboDeadln)
+	}
 	if !c.cfg.NoRefresh {
 		for _, at := range c.nextRefAt {
 			next = min(next, at)
@@ -357,6 +385,17 @@ func (c *Controller) nextCommand(r *Request) dram.Cmd {
 	}
 }
 
+// ready reports whether the DRAM allows cmd at now. A refused command's
+// ReadyAt joins the tick's plan.
+func (c *Controller) ready(cmd dram.Cmd, now ticks.T) bool {
+	at := c.mod.ReadyAt(cmd)
+	if at > now {
+		c.plan = min(c.plan, at)
+		return false
+	}
+	return true
+}
+
 // accrueMaintenance updates refresh debt, proactive-RFM debt and the Alert
 // Back-Off state machine.
 func (c *Controller) accrueMaintenance(now ticks.T) {
@@ -408,7 +447,7 @@ func (c *Controller) maintenanceBlocked(bank int) bool {
 			return true
 		}
 	}
-	return c.refDebt[c.dcfg.Org.RankOf(bank)] > 0
+	return c.refDebt[c.bankRank[bank]] > 0
 }
 
 // serviceMaintenance issues PRE/REFab/RFMab commands needed by refresh, RFM
@@ -419,7 +458,7 @@ func (c *Controller) serviceMaintenance(now ticks.T) bool {
 	needRFM := c.rfmPending > 0 || c.aboRFMs > 0
 
 	if needRFM {
-		if c.mod.CanIssue(dram.Cmd{Kind: dram.CmdRFMab}, now) {
+		if c.ready(dram.Cmd{Kind: dram.CmdRFMab}, now) {
 			c.mod.Issue(dram.Cmd{Kind: dram.CmdRFMab}, now)
 			if c.aboRFMs > 0 {
 				c.aboRFMs--
@@ -436,7 +475,7 @@ func (c *Controller) serviceMaintenance(now ticks.T) bool {
 	if len(c.pbPending) > 0 {
 		b := c.pbPending[0]
 		cmd := dram.Cmd{Kind: dram.CmdRFMpb, Bank: b}
-		if c.mod.CanIssue(cmd, now) {
+		if c.ready(cmd, now) {
 			c.mod.Issue(cmd, now)
 			// Shift rather than reslice, so the buffer keeps its
 			// capacity for DuePerBank to append into.
@@ -445,7 +484,7 @@ func (c *Controller) serviceMaintenance(now ticks.T) bool {
 			return true
 		}
 		if _, open := c.mod.OpenRow(b); open {
-			if c.mod.CanIssue(dram.Cmd{Kind: dram.CmdPRE, Bank: b}, now) {
+			if c.ready(dram.Cmd{Kind: dram.CmdPRE, Bank: b}, now) {
 				c.mod.Issue(dram.Cmd{Kind: dram.CmdPRE, Bank: b}, now)
 				return true
 			}
@@ -460,7 +499,7 @@ func (c *Controller) serviceMaintenance(now ticks.T) bool {
 		}
 		tref := c.cfg.TREFEvery > 0 && (c.refCount[r]+1)%int64(c.cfg.TREFEvery) == 0
 		cmd := dram.Cmd{Kind: dram.CmdREFab, Bank: r, TREF: tref}
-		if c.mod.CanIssue(cmd, now) {
+		if c.ready(cmd, now) {
 			c.mod.Issue(cmd, now)
 			c.refDebt[r]--
 			c.refCount[r]++
@@ -495,7 +534,7 @@ func (c *Controller) prechargeForDrain(now ticks.T, rank int) bool {
 		if _, open := c.mod.OpenRow(b); !open {
 			continue
 		}
-		if c.mod.CanIssue(dram.Cmd{Kind: dram.CmdPRE, Bank: b}, now) {
+		if c.ready(dram.Cmd{Kind: dram.CmdPRE, Bank: b}, now) {
 			c.mod.Issue(dram.Cmd{Kind: dram.CmdPRE, Bank: b}, now)
 			return true
 		}
@@ -503,8 +542,9 @@ func (c *Controller) prechargeForDrain(now ticks.T, rank int) bool {
 	return false
 }
 
-// schedule issues one demand command following FR-FCFS with a hit cap.
-func (c *Controller) schedule(now ticks.T) {
+// schedule issues one demand command following FR-FCFS with a hit cap. It
+// reports whether a command was issued.
+func (c *Controller) schedule(now ticks.T) bool {
 	if c.draining {
 		if len(c.writeQ) <= c.cfg.WriteLo {
 			c.draining = false
@@ -515,15 +555,13 @@ func (c *Controller) schedule(now ticks.T) {
 
 	if c.draining || len(c.readQ) == 0 {
 		if c.issueFrom(&c.writeQ, now) {
-			return
+			return true
 		}
 	}
 	if c.issueFrom(&c.readQ, now) {
-		return
+		return true
 	}
-	if !c.draining && len(c.readQ) == 0 {
-		c.issueFrom(&c.writeQ, now)
-	}
+	return !c.draining && len(c.readQ) == 0 && c.issueFrom(&c.writeQ, now)
 }
 
 // issueFrom applies FR-FCFS to one queue. It reports whether a command was
@@ -582,13 +620,13 @@ func (c *Controller) issueFrom(q *[]Request, now ticks.T) bool {
 			if row == r.loc.Row {
 				continue // column timing not ready; the hit scan serves it
 			}
-			if c.mod.CanIssue(dram.Cmd{Kind: dram.CmdPRE, Bank: b}, now) {
+			if c.ready(dram.Cmd{Kind: dram.CmdPRE, Bank: b}, now) {
 				c.mod.Issue(dram.Cmd{Kind: dram.CmdPRE, Bank: b}, now)
 				return true
 			}
 			continue
 		}
-		if c.mod.CanIssue(dram.Cmd{Kind: dram.CmdACT, Bank: b, Row: r.loc.Row}, now) {
+		if c.ready(dram.Cmd{Kind: dram.CmdACT, Bank: b, Row: r.loc.Row}, now) {
 			c.mod.Issue(dram.Cmd{Kind: dram.CmdACT, Bank: b, Row: r.loc.Row}, now)
 			c.hitStreak[b] = 0
 			c.policy.OnActivate(b, now)
@@ -625,7 +663,7 @@ func (c *Controller) tryColumn(r *Request, now ticks.T) bool {
 		kind = dram.CmdWR
 	}
 	cmd := dram.Cmd{Kind: kind, Bank: r.loc.Bank}
-	if !c.mod.CanIssue(cmd, now) {
+	if !c.ready(cmd, now) {
 		return false
 	}
 	res := c.mod.Issue(cmd, now)

@@ -202,9 +202,11 @@ func TestNextWorkRowConflictWaitsForPrecharge(t *testing.T) {
 	}
 }
 
-// TestNextWorkHoldsNextCycleWhileAlerted pins the one queued-work state
-// that still ticks every cycle: an asserted Alert, whose tABOACT deadline
-// advances without any command issuing.
+// TestNextWorkHoldsNextCycleWhileAlerted pins the cycle an Alert still
+// needs ticked without a command: the first controller tick after the
+// Alert asserts arms the tABOACT deadline from its own time, so until that
+// tick has run the answer stays at the next cycle. Once armed, the
+// deadline is an ordinary wake-up (TestIdleTickWakesAtABODeadline).
 func TestNextWorkHoldsNextCycleWhileAlerted(t *testing.T) {
 	rig := newRig(t, smallDRAM(1), DefaultConfig(), mitigation.NewABOOnly())
 	tm := rig.mod.Config().Timing
@@ -216,6 +218,99 @@ func TestNextWorkHoldsNextCycleWhileAlerted(t *testing.T) {
 	rig.ctrl.Enqueue(&Request{Line: rig.lineFor(1, 1, 0)}, tm.TRAS)
 	if next := rig.ctrl.NextWork(tm.TRAS); next != tm.TRAS+CyclePeriod {
 		t.Fatalf("NextWork = %v while alerted, want the next cycle %v", next, tm.TRAS+CyclePeriod)
+	}
+}
+
+// exactRig is a controller with refresh and counter resets off, so the
+// only deadlines are the ones a test sets up.
+func exactRig(t *testing.T, nbo int) (*testRig, dram.Timing) {
+	t.Helper()
+	ccfg := DefaultConfig()
+	ccfg.NoRefresh = true
+	dcfg := smallDRAM(nbo)
+	dcfg.PRAC.ResetOnREFW = false
+	return newRig(t, dcfg, ccfg, mitigation.NewABOOnly()), dcfg.Timing
+}
+
+// TestIdleTickWaitsForOldestHit pins the FR-FCFS order in the wake-up: the
+// oldest row hit is still inside tRCD while a younger hit in another bank
+// could read now. FR-FCFS serves only the oldest uncapped hit, so the
+// cycle issues nothing, and the idle tick must name the oldest hit's RD
+// time, where NextWork's scan of every request says the next cycle.
+func TestIdleTickWaitsForOldestHit(t *testing.T) {
+	rig, tm := exactRig(t, 1024)
+	rig.mod.Issue(dram.Cmd{Kind: dram.CmdACT, Bank: 1, Row: 7}, 0)
+	rig.mod.Issue(dram.Cmd{Kind: dram.CmdACT, Bank: 0, Row: 5}, tm.TRCD)
+	now := tm.TRCD
+	rig.ctrl.Enqueue(&Request{Line: rig.lineFor(0, 5, 0)}, now) // oldest: RD legal at 2 tRCD
+	rig.ctrl.Enqueue(&Request{Line: rig.lineFor(1, 7, 0)}, now) // younger: RD legal now
+	if next := rig.ctrl.NextWork(now); next != now+CyclePeriod {
+		t.Fatalf("NextWork = %v, want its over-approximation, the next cycle %v", next, now+CyclePeriod)
+	}
+	next, idle := rig.ctrl.Tick(now)
+	if !idle {
+		t.Fatalf("the tick issued a command: %+v", rig.mod.Stats())
+	}
+	if want := 2 * tm.TRCD; next != want {
+		t.Fatalf("idle tick reports %v, want the oldest hit's RD at %v", next, want)
+	}
+	if _, idle := rig.ctrl.Tick(next); idle {
+		t.Fatal("no command issued at the reported time")
+	}
+	if s := rig.mod.Stats(); s.RDs != 1 {
+		t.Fatalf("RDs = %d at the reported time, want the oldest hit's", s.RDs)
+	}
+}
+
+// TestIdleTickWaitsForABODrain pins that queued ABO RFMs no longer hold
+// the controller at every cycle: the RFMab waits for a bank inside tRAS,
+// and the idle tick must name the draining PRE's time.
+func TestIdleTickWaitsForABODrain(t *testing.T) {
+	rig, tm := exactRig(t, 1)
+	rig.mod.Issue(dram.Cmd{Kind: dram.CmdACT, Bank: 0, Row: 1}, 0)
+	rig.mod.Issue(dram.Cmd{Kind: dram.CmdPRE, Bank: 0}, tm.TRAS) // reaches NBO=1
+	armAt := tm.TRAS + CyclePeriod
+	if _, idle := rig.ctrl.Tick(armAt); !idle {
+		t.Fatal("the arming tick issued a command")
+	}
+	deadline := armAt + tm.TABOACT
+	actAt := deadline - CyclePeriod
+	rig.mod.Issue(dram.Cmd{Kind: dram.CmdACT, Bank: 2, Row: 3}, actAt)
+	next, idle := rig.ctrl.Tick(deadline) // queues the ABO RFM; bank 2 holds it
+	if !idle || rig.ctrl.aboRFMs != 1 {
+		t.Fatalf("setup: idle %v with %d ABO RFMs queued, want an idle tick with 1", idle, rig.ctrl.aboRFMs)
+	}
+	if want := actAt + tm.TRAS; next != want {
+		t.Fatalf("idle tick reports %v with an ABO RFM queued behind bank 2, want its PRE at %v", next, want)
+	}
+	rig.ctrl.Tick(next)               // the draining PRE
+	rig.ctrl.Tick(next + CyclePeriod) // the RFMab
+	if s := rig.ctrl.Stats(); s.ABORFMs != 1 {
+		t.Fatalf("ABORFMs = %d, want the queued RFM issued", s.ABORFMs)
+	}
+}
+
+// TestIdleTickWakesAtABODeadline pins the armed Alert as a deadline: with
+// the tABOACT window open, ACT budget left and nothing to issue, the idle
+// tick reports the deadline, and a tick there queues and issues the RFM.
+func TestIdleTickWakesAtABODeadline(t *testing.T) {
+	rig, tm := exactRig(t, 1)
+	rig.mod.Issue(dram.Cmd{Kind: dram.CmdACT, Bank: 0, Row: 1}, 0)
+	rig.mod.Issue(dram.Cmd{Kind: dram.CmdPRE, Bank: 0}, tm.TRAS) // reaches NBO=1
+	armAt := tm.TRAS + tm.TRP
+	next, idle := rig.ctrl.Tick(armAt)
+	if !idle {
+		t.Fatal("the arming tick issued a command")
+	}
+	if want := armAt + tm.TABOACT; next != want {
+		t.Fatalf("idle tick reports %v while alerted, want the tABOACT deadline %v", next, want)
+	}
+	if next := rig.ctrl.NextWork(armAt); next != armAt+tm.TABOACT {
+		t.Fatalf("NextWork = %v with the deadline armed, want %v", next, armAt+tm.TABOACT)
+	}
+	rig.ctrl.Tick(next)
+	if s := rig.ctrl.Stats(); s.ABORFMs != 1 || rig.mod.AlertAsserted() {
+		t.Fatalf("at the deadline: %d ABO RFMs, Alert %v; want 1 RFM and the Alert cleared", s.ABORFMs, rig.mod.AlertAsserted())
 	}
 }
 

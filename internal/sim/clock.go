@@ -32,12 +32,14 @@ func (c Clocking) String() string {
 
 // ControllerClock drives one memory controller (plus an optional pre-tick
 // hook, e.g. the LLC adapter's writeback retry) from an engine ticker
-// with demand-driven idle elision: after each tick it asks the controller
-// for its next possible work time and skips the ticker straight there —
-// or parks it entirely when the controller is quiescent — and a request
-// arriving in the meantime pulls the ticker back up through the
-// controller's waker. Fire times never leave the controller's cycle grid,
-// so the command schedule is bit-identical to per-cycle ticking.
+// with demand-driven idle elision: after each tick it takes the
+// controller's next possible work time — exact from the tick itself when
+// the tick issued nothing, from NextWork when it issued a command — and
+// skips the ticker straight there, or parks it entirely when the
+// controller is quiescent. A request arriving in the meantime pulls the
+// ticker back up through the controller's waker. Fire times never leave
+// the controller's cycle grid, so the command schedule is bit-identical
+// to per-cycle ticking.
 type ControllerClock struct {
 	eng  *Engine
 	ctrl *memctrl.Controller
@@ -103,11 +105,13 @@ func (cc *ControllerClock) tick(now ticks.T) {
 	if cc.pre != nil {
 		mayPark = cc.pre(now)
 	}
-	cc.ctrl.Tick(now)
+	next, idle := cc.ctrl.Tick(now)
 	if cc.perCycle || !mayPark {
 		return
 	}
-	next := cc.ctrl.NextWork(now)
+	if !idle {
+		next = cc.ctrl.NextWork(now)
+	}
 	if next <= now+memctrl.CyclePeriod {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"sync"
 )
 
 // Workload names a catalog entry: a synthetic stand-in for one of the
@@ -67,11 +68,15 @@ func Lookup(name string) (Workload, error) {
 // SpecFor derives the deterministic synthetic spec for a catalog entry.
 // Parameters are jittered per workload name so the 50 entries behave
 // distinctly while staying inside their RBMPKI band.
-func SpecFor(w Workload) SynthSpec {
+func SpecFor(w Workload) SynthSpec { return deriveSpec(w, rand.New(rand.NewSource(0))) }
+
+// deriveSpec is SpecFor drawing the jitter from rng, which it reseeds
+// with the workload's seed, so one generator serves many derivations.
+func deriveSpec(w Workload, rng *rand.Rand) SynthSpec {
 	h := fnv.New64a()
 	h.Write([]byte(w.Name))
 	seed := int64(h.Sum64() & (1<<62 - 1))
-	rng := rand.New(rand.NewSource(seed))
+	rng.Seed(seed)
 	jitter := func(lo, hi float64) float64 { return lo + rng.Float64()*(hi-lo) }
 
 	spec := SynthSpec{
@@ -108,20 +113,43 @@ func SpecFor(w Workload) SynthSpec {
 	return spec
 }
 
+// catalogSpecs maps every catalog entry's name to its SpecFor, derived
+// once per process through one generator: SpecFor allocates a fresh
+// generator (about 5 KB) per call, and building a System looks up one
+// spec per core.
+var catalogSpecs = sync.OnceValue(func() map[string]SynthSpec {
+	rng := rand.New(rand.NewSource(0))
+	specs := make(map[string]SynthSpec)
+	for _, w := range Catalog() {
+		specs[w.Name] = deriveSpec(w, rng)
+	}
+	return specs
+})
+
+// workloadSpec returns the spec of a named catalog entry.
+func workloadSpec(name string) (SynthSpec, error) {
+	spec, ok := catalogSpecs()[name]
+	if !ok {
+		return SynthSpec{}, fmt.Errorf("trace: unknown workload %q", name)
+	}
+	return spec, nil
+}
+
 // NewWorkloadStream builds the synthetic stream for a named workload.
 func NewWorkloadStream(name string) (*Synth, error) {
-	w, err := Lookup(name)
+	spec, err := workloadSpec(name)
 	if err != nil {
 		return nil, err
 	}
-	return NewSynth(SpecFor(w))
+	return NewSynth(spec)
 }
 
 // WorkloadMemo returns the process's shared memo of a named workload.
+// Once the memo exists, the call is two map lookups and allocates nothing.
 func WorkloadMemo(name string) (*Memo, error) {
-	w, err := Lookup(name)
+	spec, err := workloadSpec(name)
 	if err != nil {
 		return nil, err
 	}
-	return shared(SpecFor(w))
+	return shared(spec)
 }

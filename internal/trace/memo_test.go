@@ -240,3 +240,43 @@ func waitNoMemo(t *testing.T, spec SynthSpec) {
 	}
 	t.Fatal("the table still holds a collected memo")
 }
+
+// TestCatalogSpecsMatchSpecFor pins the per-process spec table against
+// the derivation it caches: every catalog entry's cached spec equals a
+// fresh SpecFor field for field, and an unknown name is refused.
+func TestCatalogSpecsMatchSpecFor(t *testing.T) {
+	specs := catalogSpecs()
+	if len(specs) != len(Catalog()) {
+		t.Fatalf("spec table holds %d entries, catalog has %d", len(specs), len(Catalog()))
+	}
+	for _, w := range Catalog() {
+		got, err := workloadSpec(w.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := SpecFor(w); got != want {
+			t.Errorf("%s: cached spec %+v, want %+v", w.Name, got, want)
+		}
+	}
+	if _, err := WorkloadMemo("no.such.workload"); err == nil {
+		t.Error("WorkloadMemo accepted an unknown workload")
+	}
+}
+
+// TestWorkloadMemoAllocFree is the allocation guard for looking up a memo
+// that already exists, as NewSystem does once per core.
+func TestWorkloadMemoAllocFree(t *testing.T) {
+	m, err := WorkloadMemo("433.milc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if got, err := WorkloadMemo("433.milc"); err != nil || got != m {
+			t.Fatalf("WorkloadMemo = %p, %v; want the live memo %p", got, err, m)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("WorkloadMemo of a live memo allocates %.1f objects, want 0", allocs)
+	}
+	runtime.KeepAlive(m)
+}
