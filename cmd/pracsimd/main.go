@@ -14,10 +14,10 @@
 //	         [-quota N] [-lease-ttl 30s] [-attempts 3] [-workers N] [-v]
 //
 // -dir holds the daemon's state: store/ (the run store, an ordinary
-// disk store), queue.journal (the persistent job queue), jobs/{id}/
-// (delivered shard files and result CSVs). The journal makes the queue
-// crash-safe: a SIGKILLed daemon restarted over the same -dir adopts
-// every acked work item and re-executes nothing.
+// disk store) and jobs/{id}/ (the job's spec, delivered shard files,
+// result CSVs and failure or cancel state). The job directory is the queue's
+// record and makes it crash-safe: a SIGKILLed daemon restarted over the
+// same -dir adopts every acked work item and re-executes nothing.
 //
 // -budget bounds the store's disk footprint (e.g. 512MB) by evicting
 // least-recently-accessed entries; an eviction costs a recompute, never
@@ -30,9 +30,9 @@
 // `tpracsim -pull-token` (default $PRACSIMD_TOKEN). /healthz and
 // /metrics stay open.
 //
-// SIGTERM drains: the listener stops, in-flight requests finish, the
-// queue stops granting and the journal syncs — the checkpoint a restart
-// resumes from.
+// SIGTERM drains: the listener stops, in-flight requests finish and the
+// queue stops granting. Its state is already in the job directory, the
+// checkpoint a restart resumes from.
 package main
 
 import (
@@ -58,7 +58,7 @@ const tokensEnv = "PRACSIMD_TOKENS"
 
 func main() {
 	addr := flag.String("addr", ":8460", "listen address")
-	dir := flag.String("dir", "", "data directory: store, queue journal, job results (default: pracsimd/ under the user cache dir)")
+	dir := flag.String("dir", "", "data directory: store, job records and results (default: pracsimd/ under the user cache dir)")
 	budget := flag.String("budget", "", "disk budget for the run store, e.g. 512MB or 2GB (default: unbounded)")
 	tokens := flag.String("tokens", os.Getenv(tokensEnv),
 		"comma-separated bearer tokens, one per tenant (default $"+tokensEnv+"; empty = open)")
@@ -136,9 +136,8 @@ func main() {
 		logger.Fatal(err)
 	case <-ctx.Done():
 	}
-	// Drain and checkpoint: stop accepting, finish in-flight requests,
-	// then close the queue (journal sync included). A second signal
-	// kills the drain wait.
+	// Drain: stop accepting, finish in-flight requests, then close the
+	// queue. A second signal kills the drain wait.
 	logger.Print("draining (signal received; again to force)")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()

@@ -2,9 +2,11 @@ package journal
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -31,12 +33,16 @@ func FuzzJournalOpen(f *testing.F) {
 		}
 		return raw
 	}
-	queue := journalBytes("queue.journal", testOpts(), func(j *Journal) { appendQueueRecords(f, j) })
+	several := journalBytes("several.journal", testOpts(), func(j *Journal) {
+		for i, p := range []string{"", "payload", strings.Repeat("x", 300)} {
+			j.AppendRun(fmt.Sprintf("pracsim/run/v3/k%d", i), []byte(p))
+		}
+	})
 	runs := journalBytes("runs.journal", testOpts(), func(j *Journal) {
 		j.AppendRun("pracsim/run/v3/k", []byte("payload"))
 	})
 	foreign := journalBytes("foreign.journal", Options{Schema: 3, Fingerprint: Fingerprint("other")}, func(*Journal) {})
-	for _, raw := range [][]byte{queue, runs, foreign} {
+	for _, raw := range [][]byte{several, runs, foreign} {
 		f.Add(raw)
 		for _, n := range []int{0, len(magic) - 1, len(magic), len(magic) + 5, len(raw) / 2, len(raw) - 1} {
 			f.Add(raw[:n])

@@ -1,10 +1,9 @@
-// Package journal is the durable spine of the pracsimd job queue: an
-// append-only, fsync-batched, per-record-checksummed event log of the
-// queue's open (schema and argument fingerprint), its jobs, lease grants
-// and acks, so a daemon that is SIGKILLed, OOM-killed or preempted
-// mid-grid restores its queue with zero lost work instead of starting
-// over. Run records (key and result payload) are accepted too; recovery
-// validates them as frames but replays no state from them.
+// Package journal is an append-only, fsync-batched,
+// per-record-checksummed log of run records (key and result payload)
+// behind a session-open record (schema and argument fingerprint).
+// Recovery validates run records as frames but replays no state from
+// them. Nothing in the simulator or its tools writes one any more; the
+// benchmark's journal layer still times it.
 //
 // The journal is strictly a redo log, never a correctness dependency: a
 // lost, truncated or corrupt journal costs re-execution, nothing else.
@@ -27,9 +26,8 @@
 //
 // Appends are batched for durability: records are written immediately
 // but fsync'd every SyncEvery records or SyncInterval, whichever comes
-// first, and checkpoints the caller cannot afford to lose (a submitted
-// job, an acked work item) sync before returning. A record that misses
-// its fsync before a crash is simply re-executed on resume.
+// first, and a caller that cannot afford to lose a record calls Sync. A
+// record that misses its fsync before a crash is simply lost.
 package journal
 
 import (
@@ -65,76 +63,18 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Record types.
 const (
-	typeOpen  = "open"
-	typeRun   = "run"
-	typeJob   = "job"
-	typeLease = "lease"
-	typeAck   = "ack"
+	typeOpen = "open"
+	typeRun  = "run"
 )
 
-// record is one journal entry. A single struct covers every type; JSON
+// record is one journal entry. A single struct covers both types; JSON
 // omits the fields a type does not use.
 type record struct {
-	Type    string   `json:"t"`
-	Schema  int      `json:"schema,omitempty"` // open
-	FP      string   `json:"fp,omitempty"`     // open
-	Key     string   `json:"key,omitempty"`    // run
-	Payload []byte   `json:"p,omitempty"`      // run, job (grid spec)
-	Shard   string   `json:"shard,omitempty"`  // lease, ack ("i/n")
-	File    string   `json:"file,omitempty"`   // ack
-	Runs    int      `json:"runs,omitempty"`   // job, ack
-	Items   []string `json:"items,omitempty"`  // job (submitted work items, "i/n")
-	Warm    int      `json:"warm,omitempty"`   // job (run keys warm at submission)
-	Job     string   `json:"job,omitempty"`    // job, lease, ack (job id)
-	Token   string   `json:"token,omitempty"`  // job (tenant identity)
-	Prio    int      `json:"prio,omitempty"`   // job
-	Status  string   `json:"status,omitempty"` // job ("" = submitted)
-	Worker  string   `json:"worker,omitempty"` // lease
-	Msg     string   `json:"msg,omitempty"`    // job (failure detail)
-	Exec    int64    `json:"exec,omitempty"`   // ack (simulations the worker executed)
-}
-
-// JobRecord is a journaled experiment-service job event: the submission
-// (Status empty, Spec carrying the grid) or a later terminal transition
-// for the same id (Status "done"/"failed"/"canceled", Spec empty). The
-// queue folds the sequence per id; the last status wins.
-type JobRecord struct {
-	ID       string
-	Token    string // tenant identity (quotas, fairness)
-	Priority int
-	Spec     []byte // grid spec JSON; submission records only
-	// Items lists the submitted work items ("i/n") and Warm counts the
-	// run keys the store already held; submission records only. The
-	// store-dedup that chose them is not repeated on restore: the store
-	// has moved on since, and the job must come back exactly as queued.
-	Items  []string
-	Warm   int
-	Status string // "" = submitted
-	Runs   int    // done: simulations the job executed in total
-	Msg    string // failed: what went wrong
-}
-
-// LeaseRecord is a journaled work-item lease grant. A restarted daemon
-// voids live leases and requeues every unacked item, so these replay
-// only to preserve per-item attempt counts across a crash.
-type LeaseRecord struct {
-	Job    string
-	Item   string // shard "i/n"
-	Worker string
-}
-
-// AckRecord is a journaled work-item completion: the durable shard file
-// a worker delivered. Replayed acks are exactly what keeps a resumed
-// queue from re-executing finished work.
-type AckRecord struct {
-	Job  string
-	Item string // shard "i/n"
-	File string
-	Runs int
-	// Exec counts the simulations the worker actually executed for this
-	// item (store hits excluded) — telemetry a resumed queue reports
-	// faithfully instead of guessing.
-	Exec int64
+	Type    string `json:"t"`
+	Schema  int    `json:"schema,omitempty"` // open
+	FP      string `json:"fp,omitempty"`     // open
+	Key     string `json:"key,omitempty"`    // run
+	Payload []byte `json:"p,omitempty"`      // run
 }
 
 // Options configures Open.
@@ -164,31 +104,6 @@ type Recovery struct {
 	Rotated string
 	// Fresh reports that no prior state was replayed.
 	Fresh bool
-	// Jobs lists replayed experiment-service job events in append order
-	// (submissions and terminal transitions alike; the queue folds them).
-	Jobs []JobRecord
-	// Leases lists replayed lease grants, for attempt accounting.
-	Leases []LeaseRecord
-	// Acks lists replayed work-item completions.
-	Acks []AckRecord
-}
-
-// Stats snapshots a journal's traffic counters.
-type Stats struct {
-	// Appended counts records appended by this process.
-	Appended int64 `json:"appended"`
-	// Replayed counts records recovered from the prior journal at open.
-	Replayed int64 `json:"replayed"`
-	// TruncatedBytes is the torn tail cut at open.
-	TruncatedBytes int64 `json:"truncated_bytes,omitempty"`
-	// Syncs counts fsync batches.
-	Syncs int64 `json:"syncs,omitempty"`
-	// AppendErrors counts failed appends (each degraded to "this record
-	// will be re-executed on resume", never a session failure).
-	AppendErrors int64 `json:"append_errors,omitempty"`
-	// Dropped counts appends discarded after the journal broke (a torn
-	// write that could not be repaired).
-	Dropped int64 `json:"dropped,omitempty"`
 }
 
 // Journal is an open journal. All methods are safe for concurrent use.
@@ -203,10 +118,6 @@ type Journal struct {
 	timer   *time.Timer
 	broken  bool // a torn write could not be repaired; appends drop
 	closed  bool
-
-	appended, replayed, truncated, syncs, appendErrs, dropped int64
-
-	statsMu sync.Mutex
 }
 
 // Fingerprint condenses the parts that define a session's identity
@@ -328,18 +239,6 @@ func adopt(f *os.File, path string, opts Options, rec *Recovery) (*Journal, stri
 		}
 		off += frameLen
 		rec.Records++
-		switch r.Type {
-		case typeJob:
-			rec.Jobs = append(rec.Jobs, JobRecord{
-				ID: r.Job, Token: r.Token, Priority: r.Prio,
-				Spec: r.Payload, Items: r.Items, Warm: r.Warm,
-				Status: r.Status, Runs: r.Runs, Msg: r.Msg,
-			})
-		case typeLease:
-			rec.Leases = append(rec.Leases, LeaseRecord{Job: r.Job, Item: r.Shard, Worker: r.Worker})
-		case typeAck:
-			rec.Acks = append(rec.Acks, AckRecord{Job: r.Job, Item: r.Shard, File: r.File, Runs: r.Runs, Exec: r.Exec})
-		}
 	}
 	if !sawOpen {
 		return nil, "no valid session-open record", nil
@@ -350,14 +249,12 @@ func adopt(f *os.File, path string, opts Options, rec *Recovery) (*Journal, stri
 			return nil, "", fmt.Errorf("journal: truncating torn tail of %s: %w", path, err)
 		}
 		rec.TruncatedBytes = cut
-		j.truncated = cut
 	}
 	//praclint:allow failpoint recovery repositioning, pre-publish; see the adopt note above
 	if _, err := f.Seek(off, io.SeekStart); err != nil {
 		return nil, "", fmt.Errorf("journal: %w", err)
 	}
 	j.off = off
-	j.replayed = int64(rec.Records)
 	rec.Fresh = rec.Records <= 1 // just the open record
 	return j, "", nil
 }
@@ -409,37 +306,6 @@ func (j *Journal) AppendRun(key string, payload []byte) error {
 	return j.append(record{Type: typeRun, Key: key, Payload: payload})
 }
 
-// AppendJob journals a job submission or terminal transition, then
-// syncs — a job id already handed to a client (or a completion already
-// reported) must survive the next crash.
-func (j *Journal) AppendJob(r JobRecord) error {
-	err := j.append(record{
-		Type: typeJob, Job: r.ID, Token: r.Token, Prio: r.Priority,
-		Payload: r.Spec, Items: r.Items, Warm: r.Warm,
-		Status: r.Status, Runs: r.Runs, Msg: r.Msg,
-	})
-	if err != nil {
-		return err
-	}
-	return j.Sync()
-}
-
-// AppendLease journals a work-item lease grant. Unsynced on purpose:
-// losing one costs an attempt count on resume, never work.
-func (j *Journal) AppendLease(r LeaseRecord) error {
-	return j.append(record{Type: typeLease, Job: r.Job, Shard: r.Item, Worker: r.Worker})
-}
-
-// AppendAck journals a completed work item, then syncs — an acked item
-// is exactly the checkpoint that makes a resumed queue re-execute
-// nothing.
-func (j *Journal) AppendAck(r AckRecord) error {
-	if err := j.append(record{Type: typeAck, Job: r.Job, Shard: r.Item, File: r.File, Runs: r.Runs, Exec: r.Exec}); err != nil {
-		return err
-	}
-	return j.Sync()
-}
-
 func (j *Journal) append(r record) error {
 	frame, err := encodeFrame(r)
 	if err != nil {
@@ -448,9 +314,6 @@ func (j *Journal) append(r record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed || j.broken {
-		j.statsMu.Lock()
-		j.dropped++
-		j.statsMu.Unlock()
 		return errBroken
 	}
 	//praclint:allow locks the append failpoint must fire inside the critical section to model a fault at the exact write site; the torn-write repair relies on mu serializing it
@@ -476,22 +339,16 @@ func (j *Journal) appendRecord(r record) error {
 // appendLockedWithFaults is the live append path: the journal.append
 // failpoint, the write, and the torn-write self-repair.
 func (j *Journal) appendLockedWithFaults(frame []byte) error {
-	countErr := func(err error) error {
-		j.statsMu.Lock()
-		j.appendErrs++
-		j.statsMu.Unlock()
-		return err
-	}
 	if a := fault.Fire(fault.JournalAppend); a != nil {
 		switch a.Kind {
 		case fault.Err:
-			return countErr(a.Err("append " + j.path))
+			return a.Err("append " + j.path)
 		case fault.Short:
 			// A partial frame lands on disk; the repair path below cuts
 			// it back out, exactly as for a real short write.
 			j.f.Write(frame[:len(frame)/2])
 			j.repairLocked()
-			return countErr(fmt.Errorf("journal: append %s: injected %w", j.path, io.ErrShortWrite))
+			return fmt.Errorf("journal: append %s: injected %w", j.path, io.ErrShortWrite)
 		case fault.Torn:
 			// The crash-mid-append case: a partial frame stays on disk
 			// and this process stops journaling, as if it had died here.
@@ -499,7 +356,7 @@ func (j *Journal) appendLockedWithFaults(frame []byte) error {
 			// valid prefix.
 			j.f.Write(frame[:3*len(frame)/4])
 			j.broken = true
-			return countErr(fmt.Errorf("journal: append %s: injected torn write", j.path))
+			return fmt.Errorf("journal: append %s: injected torn write", j.path)
 		}
 	}
 	n, err := j.f.Write(frame)
@@ -508,12 +365,9 @@ func (j *Journal) appendLockedWithFaults(frame []byte) error {
 		if err == nil {
 			err = io.ErrShortWrite
 		}
-		return countErr(fmt.Errorf("journal: append %s: %w", j.path, err))
+		return fmt.Errorf("journal: append %s: %w", j.path, err)
 	}
 	j.off += int64(len(frame))
-	j.statsMu.Lock()
-	j.appended++
-	j.statsMu.Unlock()
 	j.pending++
 	if j.pending >= j.opts.SyncEvery {
 		return j.syncLocked()
@@ -570,9 +424,6 @@ func (j *Journal) syncLocked() error {
 		return fmt.Errorf("journal: sync %s: %w", j.path, err)
 	}
 	j.pending = 0
-	j.statsMu.Lock()
-	j.syncs++
-	j.statsMu.Unlock()
 	return nil
 }
 
@@ -595,18 +446,4 @@ func (j *Journal) Close() error {
 		return serr
 	}
 	return cerr
-}
-
-// Stats snapshots the journal's counters.
-func (j *Journal) Stats() Stats {
-	j.statsMu.Lock()
-	defer j.statsMu.Unlock()
-	return Stats{
-		Appended:       j.appended,
-		Replayed:       j.replayed,
-		TruncatedBytes: j.truncated,
-		Syncs:          j.syncs,
-		AppendErrors:   j.appendErrs,
-		Dropped:        j.dropped,
-	}
 }

@@ -49,9 +49,6 @@ func TestRoundTrip(t *testing.T) {
 	if rec2.Records != 6 || rec2.TruncatedBytes != 0 {
 		t.Errorf("recovery = %+v; want 6 records, 0 truncated", rec2)
 	}
-	if st := j2.Stats(); st.Replayed != 6 {
-		t.Errorf("stats = %+v; want 6 replayed", st)
-	}
 }
 
 // TestTornTailTruncated: a partial frame at the tail (the crash-mid-
@@ -199,9 +196,6 @@ func TestAppendErrFault(t *testing.T) {
 	if err := j.AppendRun("survivor", []byte("b")); err != nil {
 		t.Fatalf("append after injected error: %v", err)
 	}
-	if st := j.Stats(); st.AppendErrors != 1 || st.Appended != 1 {
-		t.Errorf("stats = %+v; want 1 append error, 1 appended", st)
-	}
 	j.Close()
 
 	j2, rec := open(t, path, testOpts())
@@ -265,9 +259,6 @@ func TestAppendTornFault(t *testing.T) {
 	if err := j.AppendRun("after", []byte("c")); err == nil {
 		t.Fatal("append accepted after an unrepaired tear (would be unrecoverable)")
 	}
-	if st := j.Stats(); st.Dropped != 1 {
-		t.Errorf("post-tear append not counted dropped: %+v", st)
-	}
 	j.Close()
 
 	j2, rec := open(t, path, testOpts())
@@ -322,16 +313,22 @@ func TestSyncBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	base := j.Stats().Syncs // open-record sync
+	// pending counts the appends since the last fsync; Open synced the
+	// open record.
+	unsynced := func() int {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.pending
+	}
 	for i := 0; i < 3; i++ {
 		j.AppendRun(fmt.Sprintf("r%d", i), []byte("p"))
 	}
-	if got := j.Stats().Syncs; got != base {
-		t.Errorf("synced below the batch threshold (%d -> %d)", base, got)
+	if got := unsynced(); got != 3 {
+		t.Errorf("%d appends unsynced below the batch threshold, want 3", got)
 	}
 	j.AppendRun("r3", []byte("p"))
-	if got := j.Stats().Syncs; got != base+1 {
-		t.Errorf("batch threshold did not sync (%d -> %d)", base, got)
+	if got := unsynced(); got != 0 {
+		t.Errorf("batch threshold did not sync (%d appends unsynced)", got)
 	}
 }
 
@@ -395,60 +392,5 @@ func BenchmarkJournalRecovery(b *testing.B) {
 			b.Fatalf("replayed %d records", rec.Records)
 		}
 		j2.Close()
-	}
-}
-
-// queueSpec is the grid spec appendQueueRecords submits.
-var queueSpec = []byte(`{"exps":["fig12"],"scale":"quick","shards":2}`)
-
-// appendQueueRecords journals a small queue history: a job with a lease,
-// two acks and its completion, then a second submission.
-func appendQueueRecords(tb testing.TB, j *Journal) {
-	tb.Helper()
-	for i, err := range []error{
-		j.AppendJob(JobRecord{ID: "j1", Token: "tokA", Priority: 2, Spec: queueSpec, Items: []string{"0/2", "1/2"}, Warm: 3}),
-		j.AppendLease(LeaseRecord{Job: "j1", Item: "0/2", Worker: "w-1"}),
-		j.AppendAck(AckRecord{Job: "j1", Item: "0/2", File: "/w/j1-0.runs", Runs: 24, Exec: 20}),
-		j.AppendAck(AckRecord{Job: "j1", Item: "1/2", File: "/w/j1-1.runs", Runs: 24}),
-		j.AppendJob(JobRecord{ID: "j1", Status: "done", Runs: 48}),
-		j.AppendJob(JobRecord{ID: "j2", Token: "tokB", Spec: queueSpec}),
-	} {
-		if err != nil {
-			tb.Fatalf("queue record %d: %v", i, err)
-		}
-	}
-}
-
-// TestJobQueueRecordsRoundTrip: the experiment-service job/lease/ack
-// records replay in order, with field fidelity, across a close/reopen —
-// the queue-resume contract.
-func TestJobQueueRecordsRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "q.journal")
-	j, _ := open(t, path, testOpts())
-	appendQueueRecords(t, j)
-	if err := j.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	j2, rec := open(t, path, testOpts())
-	defer j2.Close()
-	if len(rec.Jobs) != 3 {
-		t.Fatalf("recovered %d job records, want 3: %+v", len(rec.Jobs), rec.Jobs)
-	}
-	if r := rec.Jobs[0]; r.ID != "j1" || r.Token != "tokA" || r.Priority != 2 || string(r.Spec) != string(queueSpec) ||
-		r.Status != "" || len(r.Items) != 2 || r.Items[1] != "1/2" || r.Warm != 3 {
-		t.Errorf("job submission record mangled: %+v", r)
-	}
-	if r := rec.Jobs[1]; r.ID != "j1" || r.Status != "done" || r.Runs != 48 {
-		t.Errorf("job terminal record mangled: %+v", r)
-	}
-	if r := rec.Jobs[2]; r.ID != "j2" || r.Token != "tokB" {
-		t.Errorf("second job record mangled: %+v", r)
-	}
-	if len(rec.Leases) != 1 || rec.Leases[0] != (LeaseRecord{Job: "j1", Item: "0/2", Worker: "w-1"}) {
-		t.Errorf("lease records = %+v, want the one grant", rec.Leases)
-	}
-	if len(rec.Acks) != 2 || rec.Acks[0] != (AckRecord{Job: "j1", Item: "0/2", File: "/w/j1-0.runs", Runs: 24, Exec: 20}) {
-		t.Errorf("ack records = %+v", rec.Acks)
 	}
 }

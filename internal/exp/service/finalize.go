@@ -25,12 +25,15 @@ func (s *Server) startFinalize(id string) {
 // warm caches, and the CSVs land under the job directory. With every
 // key warm the session executes nothing; FinalizeExecuted reports the
 // repair work if results were lost (a wiped store plus missing shard
-// files) — correctness never depends on the fast path.
+// files) — correctness never depends on the fast path. Each CSV lands
+// in the job directory by rename, so a job is done on restore exactly
+// when all of its CSVs exist.
 func (s *Server) finalizeJob(id string) {
 	exps, scale, ok := s.queue.jobForFinalize(id)
 	if !ok {
 		return
 	}
+	scale.Workers = s.opts.Workers // restored jobs too
 	sess := exp.NewRunnerWith(scale, exp.SessionOptions{Store: s.store})
 	for _, file := range s.queue.ackedFiles(id) {
 		// Each file merges independently and best-effort: a missing or
@@ -44,11 +47,6 @@ func (s *Server) finalizeJob(id string) {
 			s.logf("service: job %s: merging %s: %v (relying on store)", id, file, err)
 		}
 	}
-	dir := filepath.Join(s.jobDir(id), "results")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		s.queue.FinalizeDone(id, sess.Executed(), nil, err)
-		return
-	}
 	var results []string
 	for _, name := range exps {
 		rep, err := sess.Run(name)
@@ -56,12 +54,16 @@ func (s *Server) finalizeJob(id string) {
 			s.queue.FinalizeDone(id, sess.Executed(), nil, err)
 			return
 		}
-		csv := name + ".csv"
-		if err := os.WriteFile(filepath.Join(dir, csv), []byte(rep.CSV()), 0o644); err != nil {
+		csv := filepath.Join(s.queue.jobDir(id), name+".csv")
+		err = os.WriteFile(csv+".tmp", []byte(rep.CSV()), 0o644)
+		if err == nil {
+			err = os.Rename(csv+".tmp", csv)
+		}
+		if err != nil {
 			s.queue.FinalizeDone(id, sess.Executed(), nil, err)
 			return
 		}
-		results = append(results, csv)
+		results = append(results, name+".csv")
 	}
 	s.logf("service: job %s done (%d result(s), %d finalize execution(s))", id, len(results), sess.Executed())
 	s.queue.FinalizeDone(id, sess.Executed(), results, nil)

@@ -53,7 +53,7 @@ type FleetOptions struct {
 	Scales map[string]exp.Scale
 	// Shards is N: the job's work items and the number of pull children.
 	Shards int
-	// Dir is the queue's per-run scratch directory (queue journal, dedup
+	// Dir is the queue's per-run scratch directory (job directory, dedup
 	// store, acked shard files). Required; the caller removes it after
 	// the run. A rerun gets a fresh one: resume comes from the store the
 	// children write (their -store in Argv), never from Dir.

@@ -15,7 +15,7 @@ import (
 
 // killDriverAfterAcks runs this test binary as a real dispatch driver
 // over a fresh work directory, its children on storeDir, and SIGKILLs it
-// once its queue journal holds one ack of an item that executed runs —
+// once its job directory holds one ack of an item that executed runs —
 // no drain, no signal handler. Its children die with it (the kernel's
 // parent-death signal). It returns the driver's output.
 func killDriverAfterAcks(t *testing.T, storeDir, gate string) string {

@@ -153,8 +153,8 @@ func runFleet(t *testing.T, ctx context.Context, dir, storeDir, template string)
 
 var ackedLine = regexp.MustCompile(`job (j\d+) item (\d+/\d+) acked`)
 
-// checkFleetResult pins the fleet contract on a finished job: the queue
-// journal under dir holds exactly one ack per item and the driver log
+// checkFleetResult pins the fleet contract on a finished job: the job
+// directory under dir holds exactly one ack per item and the driver log
 // shows no item acked twice (so no acked item was re-executed), children
 // executed exactly wantExec runs, and the merged shard files render
 // Fig12 byte-identical to a serial run without executing anything.
@@ -164,13 +164,9 @@ func checkFleetResult(t *testing.T, dir string, st JobStatus, files []string, wa
 	if st.State != StateDone || st.Acked != st.Items {
 		t.Fatalf("job %+v, want done with every item acked", st)
 	}
-	jl, rec := openQueueJournal(t, dir)
-	jl.Close()
-	journaled := map[string]int{}
-	for _, a := range rec.Acks {
-		if a.Job == st.ID {
-			journaled[a.Item]++
-		}
+	recorded := map[string]int{}
+	for _, a := range shardAcks(t, dir, st.ID) {
+		recorded[a.item]++
 	}
 	logged := map[string]int{}
 	for _, m := range ackedLine.FindAllStringSubmatch(logs, -1) {
@@ -178,12 +174,12 @@ func checkFleetResult(t *testing.T, dir string, st JobStatus, files []string, wa
 			logged[m[2]]++
 		}
 	}
-	if len(journaled) != st.Items {
-		t.Errorf("queue journal holds acks for %d item(s), job has %d: %v", len(journaled), st.Items, journaled)
+	if len(recorded) != st.Items {
+		t.Errorf("job directory holds acks for %d item(s), job has %d: %v", len(recorded), st.Items, recorded)
 	}
-	for item := range journaled {
-		if journaled[item] != 1 || logged[item] > 1 {
-			t.Errorf("item %s acked %d time(s) in the journal and %d in the logs, want once", item, journaled[item], logged[item])
+	for item := range recorded {
+		if recorded[item] != 1 || logged[item] > 1 {
+			t.Errorf("item %s acked %d time(s) in the job directory and %d in the logs, want once", item, recorded[item], logged[item])
 		}
 	}
 	if st.Executed != wantExec || st.FinalizeExecuted != 0 {
@@ -395,18 +391,46 @@ func gatedTemplate(gate string) string {
 	return fmt.Sprintf("if [ {slot} != 0 ] && [ ! -e %s ]; then exec sleep 300; fi; exec {args}", gate)
 }
 
-// waitExecAcks blocks until the queue journal under dir holds n acks
-// of items that executed runs (an ack record carries "exec" only then).
+// recordedAck is one ack in a job directory: the item and the
+// simulations its worker executed, both read off the shard file's name.
+type recordedAck struct {
+	item     string
+	executed int64
+}
+
+// shardAcks lists the acks recorded under the fleet work directory dir
+// for job id ("*" for every job).
+func shardAcks(t *testing.T, dir, id string) []recordedAck {
+	files, err := filepath.Glob(filepath.Join(dir, "jobs", id, shardsDir, "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acks []recordedAck
+	for _, f := range files {
+		if sp, executed, ok := parseAckName(filepath.Base(f)); ok {
+			acks = append(acks, recordedAck{sp.String(), executed})
+		}
+	}
+	return acks
+}
+
+// waitExecAcks blocks until the job directory under dir holds n acks of
+// items that executed runs.
 func waitExecAcks(t *testing.T, dir string, n int) {
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		raw, _ := os.ReadFile(filepath.Join(dir, "queue.journal"))
-		if bytes.Count(raw, []byte(`"exec":`)) >= n {
+		executing := 0
+		for _, a := range shardAcks(t, dir, "*") {
+			if a.executed > 0 {
+				executing++
+			}
+		}
+		if executing >= n {
 			return
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	t.Errorf("queue journal never reached %d executing ack(s)", n)
+	t.Errorf("job directory never reached %d executing ack(s)", n)
 }
 
 // waitReaped fails unless pid is gone within a few seconds.

@@ -47,7 +47,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // handleSubmit accepts a grid spec over HTTP and hands it to Submit.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// The service.submit failpoint fails the submission before anything
-	// is journaled — the client retries and gets a fresh job id, exactly
+	// is recorded — the client retries and gets a fresh job id, exactly
 	// like any pre-accept 500.
 	act := fault.Fire(fault.ServiceSubmit)
 	if act != nil && act.Kind == fault.Err {
@@ -87,7 +87,6 @@ func (s *Server) Submit(token string, spec GridSpec) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-	scale.Workers = s.opts.Workers
 	keys, err := exp.GridKeys(exps, scale)
 	if err != nil {
 		return JobStatus{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
@@ -232,7 +231,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	//praclint:allow failpoint serving a finalized, immutable CSV; the chaos surface is the job pipeline (service.submit, queue.lease, queue.ack, service.stream), not a static file read
-	data, err := os.ReadFile(filepath.Join(s.jobDir(id), "results", name))
+	data, err := os.ReadFile(filepath.Join(s.queue.jobDir(id), name))
 	if err != nil {
 		http.Error(w, "no such result", http.StatusNotFound)
 		return
@@ -294,15 +293,20 @@ func (s *Server) handleAck(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, ErrNoLease.Error(), http.StatusGone)
 		return
 	}
-	path, runs, err := s.saveShardFile(leaseID, r)
+	tmp, runs, err := s.saveShardFile(leaseID, r)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	imported := s.importShardFile(path)
-	out, err := s.queue.Ack(leaseID, path, runs, executed)
+	defer os.Remove(tmp) // no-op once the ack renamed it
+	imported := s.importShardFile(tmp)
+	out, err := s.queue.Ack(leaseID, tmp, executed)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusGone)
+		code := http.StatusInternalServerError
+		if errors.Is(err, ErrNoLease) {
+			code = http.StatusGone
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	s.logf("service: job %s item %s acked (%d runs, %d executed, %d imported to store)",
@@ -313,44 +317,44 @@ func (s *Server) handleAck(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// saveShardFile persists an ack body under the lease's job directory
-// (atomically: temp + rename) and validates it as a shard file of this
-// simulator's schema.
-func (s *Server) saveShardFile(leaseID string, r *http.Request) (path string, runs int, err error) {
-	jobID, item, ok := s.queue.leaseTarget(leaseID)
+// saveShardFile writes an ack body to a synced temp file in the lease's
+// job directory and validates it as a shard file of this simulator's
+// schema. Queue.Ack publishes it by rename, so the bytes an ack points
+// at are on disk before the ack is.
+func (s *Server) saveShardFile(leaseID string, r *http.Request) (tmp string, runs int, err error) {
+	jobID, ok := s.queue.leaseJob(leaseID)
 	if !ok {
 		return "", 0, ErrNoLease
 	}
-	dir := filepath.Join(s.jobDir(jobID), "shards")
+	dir := filepath.Join(s.queue.jobDir(jobID), shardsDir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", 0, fmt.Errorf("service: %w", err)
 	}
-	path = filepath.Join(dir, strings.ReplaceAll(item, "/", "-of-")+".runs")
-	tmp := fmt.Sprintf("%s.tmp%d", path, os.Getpid())
-	f, err := os.Create(tmp)
+	// A fresh name per delivery: a worker's retry racing its own slow
+	// first attempt must not write into the file that attempt renames.
+	f, err := os.CreateTemp(dir, leaseID+"-*.tmp")
 	if err != nil {
 		return "", 0, fmt.Errorf("service: %w", err)
 	}
-	defer os.Remove(tmp) // no-op after the rename
+	tmp = f.Name()
 	_, cerr := f.ReadFrom(http.MaxBytesReader(nil, r.Body, maxShardBytes))
 	if cerr == nil {
-		cerr = f.Close()
-	} else {
-		f.Close()
+		cerr = f.Sync()
+	}
+	if err := f.Close(); cerr == nil {
+		cerr = err
 	}
 	if cerr != nil {
+		os.Remove(tmp)
 		return "", 0, fmt.Errorf("service: reading shard upload: %w", cerr)
 	}
 	// Validate before publishing: format, schema, per-entry decode, the
 	// header run count. A torn or stale upload never lands.
-	runs, err = shard.Validate(tmp, sim.SchemaVersion)
-	if err != nil {
+	if runs, err = shard.Validate(tmp, sim.SchemaVersion); err != nil {
+		os.Remove(tmp)
 		return "", 0, err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return "", 0, fmt.Errorf("service: %w", err)
-	}
-	return path, runs, nil
+	return tmp, runs, nil
 }
 
 // importShardFile writes a validated shard file's runs through to the

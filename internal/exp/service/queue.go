@@ -1,16 +1,19 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"pracsim/internal/exp"
-	"pracsim/internal/exp/journal"
 	"pracsim/internal/exp/shard"
 	"pracsim/internal/retry"
+	"pracsim/internal/sim"
 )
 
 // Job states. A job moves queued → running → finalizing → done; failed
@@ -99,10 +102,9 @@ const (
 type workItem struct {
 	shard     shard.Spec
 	state     int
-	attempts  int       // lease grants so far (journal-replayed across restarts)
+	attempts  int       // lease grants in this process's lifetime
 	notBefore time.Time // requeue pacing after an expiry or failure
 	file      string    // acked shard result file
-	runs      int       // runs in the acked file
 }
 
 // job is the queue's record of one submitted grid.
@@ -115,7 +117,6 @@ type job struct {
 	scale    exp.Scale
 	state    string
 	items    []*workItem
-	seq      int // submission order within a priority (FIFO per token)
 
 	totalKeys, warmKeys int
 	executed            int64 // worker-reported new simulations
@@ -138,8 +139,9 @@ type lease struct {
 
 // QueueOptions configures the job queue.
 type QueueOptions struct {
-	// Journal persists submissions, grants and acks; required.
-	Journal *journal.Journal
+	// Dir is the job directory, the queue's only persistent record
+	// (see Restore); required.
+	Dir string
 	// LeaseTTL is how long a worker may go without a heartbeat before
 	// its item is re-leased (default 30s).
 	LeaseTTL time.Duration
@@ -153,9 +155,9 @@ type QueueOptions struct {
 	Requeue retry.Policy
 }
 
-// Queue is the journal-backed job/work-item state machine. All methods
-// are safe for concurrent use; journal appends and event delivery happen
-// outside the state lock.
+// Queue is the job/work-item state machine over a job directory. All
+// methods are safe for concurrent use; file writes and event delivery
+// happen outside the state lock.
 type Queue struct {
 	opts QueueOptions
 
@@ -163,7 +165,7 @@ type Queue struct {
 	jobs    map[string]*job
 	order   []*job // submission order
 	leases  map[string]*lease
-	jobSeq  int            // persistent: restored from journaled ids
+	jobSeq  int            // persistent: restored from job directory names
 	leaseSe int            // process-local: restarts void leases
 	rr      map[int]string // per-priority round-robin cursor (last token served)
 	closed  bool
@@ -172,7 +174,7 @@ type Queue struct {
 	submits, dedupJobs, grants, acks, expiries, itemFails int64
 }
 
-// NewQueue builds an empty queue; Restore folds journal state in.
+// NewQueue builds an empty queue; Restore reads the job directory in.
 func NewQueue(opts QueueOptions) *Queue {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 30 * time.Second
@@ -268,7 +270,6 @@ func (q *Queue) Submit(token string, spec GridSpec, exps []string, scale exp.Sca
 		exps:      exps,
 		scale:     scale,
 		state:     StateQueued,
-		seq:       q.jobSeq,
 		totalKeys: totalKeys,
 		warmKeys:  warmKeys,
 		subs:      make(map[chan JobStatus]struct{}),
@@ -288,17 +289,24 @@ func (q *Queue) Submit(token string, spec GridSpec, exps []string, scale exp.Sca
 	st := statusLocked(j)
 	q.mu.Unlock()
 
-	// The submission record is what makes the id durable — AppendJob
-	// syncs before Submit's caller can hand the id to the client. It
-	// carries the deduped item list, so a restore queues exactly this.
-	names := make([]string, len(items))
-	for i, sp := range items {
-		names[i] = sp.String()
+	// spec.json is what makes the id durable: it is synced before
+	// Submit's caller can hand the id to the client, and it carries the
+	// deduped item list, so a restore queues exactly this.
+	rec := jobRecord{
+		Schema: sim.SchemaVersion, Token: token, Spec: spec,
+		Warmup: scale.Warmup, Measured: scale.Measured, Workloads: scale.Workloads,
+		Items: make([]string, len(items)), Keys: totalKeys, Warm: warmKeys,
 	}
-	_ = q.opts.Journal.AppendJob(journal.JobRecord{
-		ID: j.id, Token: token, Priority: spec.Priority, Spec: spec.encode(),
-		Items: names, Warm: warmKeys,
-	})
+	for i, sp := range items {
+		rec.Items[i] = sp.String()
+	}
+	if err := writeSpec(q.jobDir(j.id), rec); err != nil {
+		q.mu.Lock()
+		j.state, j.errMsg = StateFailed, "recording the job: "+err.Error()
+		publishLocked(j)
+		q.mu.Unlock()
+		return JobStatus{}, fmt.Errorf("service: recording job %s: %w", j.id, err)
+	}
 	return st, nil
 }
 
@@ -318,10 +326,7 @@ func (q *Queue) Lease(worker string, now time.Time) (*LeaseGrant, bool) {
 		q.mu.Unlock()
 		return nil, false
 	}
-	var (
-		grant *LeaseGrant
-		lr    journal.LeaseRecord
-	)
+	var grant *LeaseGrant
 	for prio := PriorityHigh; prio <= PriorityLow && grant == nil; prio++ {
 		// Distinct tokens with a ready item at this priority, sorted for
 		// a stable round-robin orbit.
@@ -380,7 +385,6 @@ func (q *Queue) Lease(worker string, now time.Time) (*LeaseGrant, bool) {
 					Workloads: j.scale.Workloads,
 					TTLSecs:   int(q.opts.LeaseTTL / time.Second),
 				}
-				lr = journal.LeaseRecord{Job: j.id, Item: it.shard.String(), Worker: worker}
 				publishLocked(j)
 				break
 			}
@@ -390,13 +394,7 @@ func (q *Queue) Lease(worker string, now time.Time) (*LeaseGrant, bool) {
 		}
 	}
 	q.mu.Unlock()
-	if grant == nil {
-		return nil, false
-	}
-	// Unsynced append: losing it costs an attempt count after a crash,
-	// never work.
-	_ = q.opts.Journal.AppendLease(lr)
-	return grant, true
+	return grant, grant != nil
 }
 
 // Heartbeat extends a lease.
@@ -420,16 +418,20 @@ type AckOutcome struct {
 	Ready bool
 }
 
-// Ack completes a leased item with its validated shard result file.
+// Ack completes a leased item with its validated shard result file,
+// renaming it into the job directory: that rename is the durable ack,
+// and the file's name records the simulations the worker executed.
 // Idempotent per item: a duplicate ack (a straggler's late retry after
 // re-lease) is absorbed without double-counting.
-func (q *Queue) Ack(leaseID, file string, runs int, executed int64) (AckOutcome, error) {
+func (q *Queue) Ack(leaseID, tmp string, executed int64) (AckOutcome, error) {
 	q.mu.Lock()
 	l, ok := q.leases[leaseID]
 	if !ok {
 		q.mu.Unlock()
 		return AckOutcome{}, ErrNoLease
 	}
+	// The lease is consumed here, so no other ack of this item can run
+	// until the rename below has landed or the item is pending again.
 	delete(q.leases, leaseID)
 	j := l.job
 	it := j.items[l.item]
@@ -438,9 +440,23 @@ func (q *Queue) Ack(leaseID, file string, runs int, executed int64) (AckOutcome,
 		q.mu.Unlock()
 		return out, nil
 	}
+	file := filepath.Join(q.jobDir(j.id), shardsDir, ackName(it.shard, executed))
+	q.mu.Unlock()
+
+	err := os.Rename(tmp, file)
+
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if terminal(j.state) {
+		return out, nil
+	}
+	if err != nil {
+		it.state = itemPending
+		publishLocked(j)
+		return out, fmt.Errorf("service: recording ack: %w", err)
+	}
 	it.state = itemAcked
 	it.file = file
-	it.runs = runs
 	j.executed += executed
 	q.acks++
 	allAcked := true
@@ -458,20 +474,14 @@ func (q *Queue) Ack(leaseID, file string, runs int, executed int64) (AckOutcome,
 		}
 	}
 	publishLocked(j)
-	q.mu.Unlock()
-
-	// Synced append: an acked item is the checkpoint a restarted daemon
-	// must not re-execute.
-	_ = q.opts.Journal.AppendAck(journal.AckRecord{
-		Job: j.id, Item: out.Item, File: file, Runs: runs, Exec: executed,
-	})
 	return out, nil
 }
 
 // requeueLocked returns a leased item to the pending pool with backoff
 // pacing, failing the whole job when the item's attempt budget is
-// exhausted. Returns the job's terminal record to journal, if any.
-func (q *Queue) requeueLocked(l *lease, now time.Time, cause string) (rec *journal.JobRecord) {
+// exhausted. It returns the failed job's state, for the caller to record
+// once the lock is released.
+func (q *Queue) requeueLocked(l *lease, now time.Time, cause string) *jobState {
 	j := l.job
 	it := j.items[l.item]
 	delete(q.leases, l.id)
@@ -483,7 +493,7 @@ func (q *Queue) requeueLocked(l *lease, now time.Time, cause string) (rec *journ
 		j.errMsg = fmt.Sprintf("item %s: %s after %d attempts", it.shard, cause, it.attempts)
 		q.itemFails++
 		publishLocked(j)
-		return &journal.JobRecord{ID: j.id, Status: StateFailed, Msg: j.errMsg}
+		return &jobState{State: StateFailed, Error: j.errMsg}
 	}
 	it.state = itemPending
 	it.notBefore = now.Add(q.opts.Requeue.Delay(j.id+"/"+it.shard.String(), it.attempts))
@@ -500,10 +510,10 @@ func (q *Queue) Fail(leaseID, msg string, now time.Time) error {
 		q.mu.Unlock()
 		return ErrNoLease
 	}
-	rec := q.requeueLocked(l, now, "worker failure: "+msg)
+	failed := q.requeueLocked(l, now, "worker failure: "+msg)
 	q.mu.Unlock()
-	if rec != nil {
-		_ = q.opts.Journal.AppendJob(*rec)
+	if failed != nil {
+		q.recordState(l.job.id, *failed)
 	}
 	return nil
 }
@@ -519,18 +529,18 @@ func (q *Queue) Sweep(now time.Time) []string {
 		}
 	}
 	var requeued []string
-	var recs []journal.JobRecord
+	failed := map[string]jobState{}
 	for _, l := range expired {
 		q.expiries++
 		requeued = append(requeued, l.job.id+"/"+l.job.items[l.item].shard.String())
-		if rec := q.requeueLocked(l, now, "lease expired"); rec != nil {
-			recs = append(recs, *rec)
+		if st := q.requeueLocked(l, now, "lease expired"); st != nil {
+			failed[l.job.id] = *st
 		}
 	}
 	q.mu.Unlock()
 	sort.Strings(requeued)
-	for _, rec := range recs {
-		_ = q.opts.Journal.AppendJob(rec)
+	for id, st := range failed {
+		q.recordState(id, st)
 	}
 	return requeued
 }
@@ -551,10 +561,20 @@ func (q *Queue) FinalizeDone(id string, executed int64, results []string, ferr e
 		j.state = StateDone
 		j.results = results
 	}
-	rec := journal.JobRecord{ID: j.id, Status: j.state, Runs: int(j.executed + executed), Msg: j.errMsg}
+	msg := j.errMsg
 	publishLocked(j)
 	q.mu.Unlock()
-	_ = q.opts.Journal.AppendJob(rec)
+	if ferr != nil { // a done job's record is its results directory
+		q.recordState(id, jobState{State: StateFailed, Error: msg})
+	}
+}
+
+// recordState writes a failed or canceled job's state file. Unsynced
+// and best-effort: a lost one costs a resumed job after a restart, never
+// a wrong result.
+func (q *Queue) recordState(id string, st jobState) {
+	data, _ := json.Marshal(st)
+	_ = os.WriteFile(filepath.Join(q.jobDir(id), stateFile), data, 0o644)
 }
 
 // Cancel terminates a job; its outstanding leases are voided (late acks
@@ -580,7 +600,7 @@ func (q *Queue) Cancel(id, token string) (JobStatus, bool) {
 	publishLocked(j)
 	st := statusLocked(j)
 	q.mu.Unlock()
-	_ = q.opts.Journal.AppendJob(journal.JobRecord{ID: id, Status: StateCanceled})
+	q.recordState(id, jobState{State: StateCanceled})
 	return st, true
 }
 
@@ -650,15 +670,15 @@ func (q *Queue) ackedFiles(id string) []string {
 	return files
 }
 
-// leaseTarget names the job and item a live lease covers.
-func (q *Queue) leaseTarget(leaseID string) (jobID, item string, ok bool) {
+// leaseJob names the job a live lease covers.
+func (q *Queue) leaseJob(leaseID string) (jobID string, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	l, found := q.leases[leaseID]
 	if !found {
-		return "", "", false
+		return "", false
 	}
-	return l.job.id, l.job.items[l.item].shard.String(), true
+	return l.job.id, true
 }
 
 // allFinalizing lists jobs in the finalizing state — what a restarted
@@ -716,14 +736,14 @@ func (q *Queue) Stats() Depth {
 }
 
 // Close drains the queue: no new submissions or grants; outstanding
-// state is already journaled.
+// state is already in the job directory.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	q.closed = true
 	q.mu.Unlock()
 }
 
-// RestoreSummary reports what a queue adopted from its journal.
+// RestoreSummary reports what a queue adopted from its job directory.
 type RestoreSummary struct {
 	// Jobs counts adopted jobs (terminal ones included).
 	Jobs int
@@ -738,126 +758,6 @@ type RestoreSummary struct {
 	// Finalizing lists jobs whose work is complete but whose results
 	// were never assembled — the server kicks their finalize on start.
 	Finalizing []string
-}
-
-// Restore folds replayed journal records into the queue: submissions
-// come back with exactly the work items they were queued with (the
-// journal fingerprint pins schema and scale table, so a spec that
-// validated once validates again), terminal transitions
-// retire, acks mark their items complete, and lease grants count toward
-// attempt budgets. Live leases are not restored — a restarted daemon
-// cannot heartbeat-check workers it never talked to, so unacked items
-// simply re-lease.
-func (q *Queue) Restore(rec *journal.Recovery, scales map[string]exp.Scale) (RestoreSummary, error) {
-	var sum RestoreSummary
-	if rec == nil {
-		return sum, nil
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for _, jr := range rec.Jobs {
-		if jr.Status != "" { // terminal transition for an earlier id
-			if j, ok := q.jobs[jr.ID]; ok && !terminal(j.state) {
-				j.state = jr.Status
-				j.errMsg = jr.Msg
-			}
-			continue
-		}
-		spec, err := decodeSpec(jr.Spec)
-		if err != nil {
-			return sum, fmt.Errorf("restoring %s: %w", jr.ID, err)
-		}
-		exps, scale, err := spec.normalize(scales)
-		if err != nil {
-			return sum, fmt.Errorf("restoring %s: %w", jr.ID, err)
-		}
-		total, err := exp.GridKeys(exps, scale)
-		if err != nil {
-			return sum, fmt.Errorf("restoring %s: %w", jr.ID, err)
-		}
-		j := &job{
-			id: jr.ID, token: jr.Token, priority: jr.Priority,
-			spec: spec, exps: exps, scale: scale,
-			state: StateQueued, totalKeys: len(total), warmKeys: jr.Warm,
-			subs: make(map[chan JobStatus]struct{}),
-		}
-		// A numeric id beyond the counter advances it; ids never reuse.
-		var n int
-		if _, err := fmt.Sscanf(jr.ID, "j%d", &n); err == nil && n > q.jobSeq {
-			q.jobSeq = n
-		}
-		j.seq = n
-		items := jr.Items
-		if items == nil && jr.Warm == 0 {
-			// A record from before item lists were journaled: every
-			// slice, as such a daemon restored it.
-			for i := 0; i < spec.Shards; i++ {
-				items = append(items, shard.Spec{Index: i, Count: spec.Shards}.String())
-			}
-		}
-		for _, name := range items {
-			sp, err := shard.Parse(name)
-			if err != nil {
-				return sum, fmt.Errorf("restoring %s: %w", jr.ID, err)
-			}
-			j.items = append(j.items, &workItem{shard: sp})
-		}
-		q.jobs[j.id] = j
-		q.order = append(q.order, j)
-	}
-	itemOf := func(jobID, item string) (*job, *workItem) {
-		j, ok := q.jobs[jobID]
-		if !ok {
-			return nil, nil
-		}
-		for _, it := range j.items {
-			if it.shard.String() == item {
-				return j, it
-			}
-		}
-		return nil, nil
-	}
-	for _, lr := range rec.Leases {
-		if _, it := itemOf(lr.Job, lr.Item); it != nil {
-			it.attempts++
-		}
-	}
-	for _, ar := range rec.Acks {
-		j, it := itemOf(ar.Job, ar.Item)
-		if it == nil || it.state == itemAcked {
-			continue
-		}
-		it.state = itemAcked
-		it.file = ar.File
-		it.runs = ar.Runs
-		j.executed += ar.Exec
-	}
-	for _, j := range q.order {
-		sum.Jobs++
-		if terminal(j.state) {
-			sum.Terminal++
-			continue
-		}
-		acked := 0
-		for _, it := range j.items {
-			if it.state == itemAcked {
-				acked++
-			} else {
-				sum.ItemsRequeued++
-			}
-		}
-		sum.ItemsAcked += acked
-		switch {
-		case acked == len(j.items):
-			// Work complete, results never assembled: finalize on start.
-			j.state = StateFinalizing
-			j.finalizeStarted = true
-			sum.Finalizing = append(sum.Finalizing, j.id)
-		case acked > 0:
-			j.state = StateRunning
-		}
-	}
-	return sum, nil
 }
 
 // String renders the restore summary as the daemon's one-line resume log.

@@ -1,13 +1,16 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"pracsim/internal/exp"
-	"pracsim/internal/exp/journal"
 	"pracsim/internal/exp/shard"
 	"pracsim/internal/retry"
 	"pracsim/internal/sim"
@@ -21,33 +24,36 @@ func testScales() map[string]exp.Scale {
 	}
 }
 
-// openQueueJournal opens (or reopens) the queue journal under dir,
-// exactly as service.New does.
-func openQueueJournal(t *testing.T, dir string) (*journal.Journal, *journal.Recovery) {
-	t.Helper()
-	jl, rec, err := journal.Open(filepath.Join(dir, "queue.journal"), journal.Options{
-		Schema:      sim.SchemaVersion,
-		Fingerprint: journal.Fingerprint(queueFingerprint),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return jl, rec
-}
-
-// newTestQueue builds a queue over a fresh (or existing) journal in dir
-// and folds any replayed state in.
+// newTestQueue builds a queue over the job directory dir, fresh or left
+// by an earlier queue, and restores what it holds.
 func newTestQueue(t *testing.T, dir string, opts QueueOptions) (*Queue, RestoreSummary) {
 	t.Helper()
-	jl, rec := openQueueJournal(t, dir)
-	t.Cleanup(func() { jl.Close() })
-	opts.Journal = jl
+	opts.Dir = dir
 	q := NewQueue(opts)
-	sum, err := q.Restore(rec, testScales())
+	sum, err := q.Restore(testScales(), t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return q, sum
+}
+
+// upload writes a valid shard result file of n runs for grant g where
+// the ack handler leaves a worker's validated upload, for Ack to rename.
+func upload(t *testing.T, q *Queue, g *LeaseGrant, n int) string {
+	t.Helper()
+	entries := make([]shard.Entry, n)
+	for i := range entries {
+		entries[i] = shard.Entry{Key: fmt.Sprintf("k%d", i), Payload: []byte("{}")}
+	}
+	dir := filepath.Join(q.jobDir(g.Job), shardsDir)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, g.ID+".tmp")
+	if err := shard.WriteFile(path, sim.SchemaVersion, shard.Spec{}, entries); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // submitJob registers a normalized tiny-grid job the way handleSubmit
@@ -160,7 +166,7 @@ func TestQueueAckFlow(t *testing.T) {
 	if g1.Item == g2.Item {
 		t.Fatalf("both leases granted item %s", g1.Item)
 	}
-	out, err := q.Ack(g1.ID, "f1", 4, 3)
+	out, err := q.Ack(g1.ID, upload(t, q, g1, 4), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,13 +177,13 @@ func TestQueueAckFlow(t *testing.T) {
 		t.Errorf("after first ack: state %s acked %d, want running/1", cur.State, cur.Acked)
 	}
 	// A consumed lease is gone: duplicate acks and heartbeats bounce.
-	if _, err := q.Ack(g1.ID, "f1", 4, 3); !errors.Is(err, ErrNoLease) {
+	if _, err := q.Ack(g1.ID, upload(t, q, g1, 4), 3); !errors.Is(err, ErrNoLease) {
 		t.Errorf("duplicate ack err = %v, want ErrNoLease", err)
 	}
 	if q.Heartbeat(g1.ID, now) {
 		t.Error("heartbeat on a consumed lease succeeded")
 	}
-	out, err = q.Ack(g2.ID, "f2", 4, 5)
+	out, err = q.Ack(g2.ID, upload(t, q, g2, 4), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +269,7 @@ func TestQueueCancelVoidsLeases(t *testing.T) {
 	if q.Heartbeat(g.ID, now) {
 		t.Error("heartbeat on a canceled job's lease succeeded")
 	}
-	if _, err := q.Ack(g.ID, "f", 1, 1); !errors.Is(err, ErrNoLease) {
+	if _, err := q.Ack(g.ID, upload(t, q, g, 1), 1); !errors.Is(err, ErrNoLease) {
 		t.Errorf("ack after cancel err = %v, want ErrNoLease", err)
 	}
 }
@@ -317,20 +323,19 @@ func TestQueueSubscribe(t *testing.T) {
 }
 
 // TestQueueRestoreResumes is the crash contract at the queue layer: a
-// journal replay adopts acked items (their work is never redone),
-// requeues in-flight ones, and never reuses a job id.
+// restore from the job directory adopts acked items (their work is never
+// redone), requeues in-flight ones, and never reuses a job id.
 func TestQueueRestoreResumes(t *testing.T) {
 	dir := t.TempDir()
 	q1, _ := newTestQueue(t, dir, QueueOptions{})
 	now := time.Now()
 	st := submitJob(t, q1, "a", PriorityNormal, 2)
 	g1, _ := q1.Lease("w", now)
-	if _, err := q1.Ack(g1.ID, "shard-file", 4, 7); err != nil {
+	if _, err := q1.Ack(g1.ID, upload(t, q1, g1, 4), 7); err != nil {
 		t.Fatal(err)
 	}
 	q1.Lease("w", now) // second item leased, never acked: the crash victim
 	q1.Close()
-	q1.opts.Journal.Close()
 
 	q2, sum := newTestQueue(t, dir, QueueOptions{})
 	if sum.Jobs != 1 || sum.Terminal != 0 || sum.ItemsAcked != 1 || sum.ItemsRequeued != 1 {
@@ -368,17 +373,20 @@ func TestQueueRestoreFinalizingAndTerminal(t *testing.T) {
 	st := submitJob(t, q1, "a", PriorityNormal, 1)
 	done := submitJob(t, q1, "a", PriorityNormal, 1)
 	g, _ := q1.Lease("w", now)
-	if _, err := q1.Ack(g.ID, "f", 4, 4); err != nil {
+	if _, err := q1.Ack(g.ID, upload(t, q1, g, 4), 4); err != nil {
 		t.Fatal(err)
 	}
 	// Job 2 runs to done before the crash; job 1 is acked but unassembled.
 	g2, _ := q1.Lease("w", now)
-	if _, err := q1.Ack(g2.ID, "f2", 4, 4); err != nil {
+	if _, err := q1.Ack(g2.ID, upload(t, q1, g2, 4), 4); err != nil {
+		t.Fatal(err)
+	}
+	// What finalizeJob leaves for a done job: its CSVs.
+	if err := os.WriteFile(filepath.Join(q1.jobDir(done.ID), "fig12.csv"), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	q1.FinalizeDone(done.ID, 0, []string{"fig12.csv"}, nil)
 	q1.Close()
-	q1.opts.Journal.Close()
 
 	q2, sum := newTestQueue(t, dir, QueueOptions{})
 	if sum.Terminal != 1 {
@@ -390,8 +398,8 @@ func TestQueueRestoreFinalizingAndTerminal(t *testing.T) {
 	if ids := q2.allFinalizing(); len(ids) != 1 || ids[0] != st.ID {
 		t.Errorf("allFinalizing = %v, want [%s]", ids, st.ID)
 	}
-	if cur, _ := q2.Status(done.ID, "a"); cur.State != StateDone {
-		t.Errorf("terminal job restored as %s, want done", cur.State)
+	if cur, _ := q2.Status(done.ID, "a"); cur.State != StateDone || len(cur.Results) != 1 || cur.Results[0] != "fig12.csv" {
+		t.Errorf("terminal job restored as %s with results %v, want done with [fig12.csv]", cur.State, cur.Results)
 	}
 }
 
@@ -419,7 +427,6 @@ func TestQueueRestoreKeepsDedupedItems(t *testing.T) {
 		t.Fatalf("fully-warm job submitted as %s, want finalizing", warm.State)
 	}
 	q1.Close()
-	q1.opts.Journal.Close()
 
 	q2, sum := newTestQueue(t, dir, QueueOptions{})
 	if sum.ItemsRequeued != 1 {
@@ -442,5 +449,138 @@ func TestQueueRestoreKeepsDedupedItems(t *testing.T) {
 	}
 	if g, ok := q2.Lease("w", time.Now()); ok {
 		t.Errorf("restored queue leased %s item %s; only one item was ever queued", g.Job, g.Item)
+	}
+}
+
+// TestQueueRestoreRequeuesTornShardFile: an acked item's shard file is
+// its ack, so one a crash left torn (or a disk later truncated) is not
+// an ack. Restore discards it and the item re-leases.
+func TestQueueRestoreRequeuesTornShardFile(t *testing.T) {
+	dir := t.TempDir()
+	q1, _ := newTestQueue(t, dir, QueueOptions{})
+	now := time.Now()
+	st := submitJob(t, q1, "a", PriorityNormal, 2)
+	g, _ := q1.Lease("w", now)
+	if _, err := q1.Ack(g.ID, upload(t, q1, g, 4), 7); err != nil {
+		t.Fatal(err)
+	}
+	q1.Close()
+	files := q1.ackedFiles(st.ID)
+	if len(files) != 1 {
+		t.Fatalf("acked files %v, want one", files)
+	}
+	fi, err := os.Stat(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(files[0], fi.Size()-10); err != nil {
+		t.Fatal(err)
+	}
+
+	q2, sum := newTestQueue(t, dir, QueueOptions{})
+	if sum.ItemsAcked != 0 || sum.ItemsRequeued != 2 {
+		t.Fatalf("restore summary %+v, want the torn ack requeued beside the unacked item", sum)
+	}
+	if cur, _ := q2.Status(st.ID, "a"); cur.State != StateQueued || cur.Pending != 2 || cur.Executed != 0 {
+		t.Errorf("restored status %+v, want queued with 2 pending items and nothing executed", cur)
+	}
+	if _, err := os.Stat(files[0]); !os.IsNotExist(err) {
+		t.Errorf("torn shard file still present (stat err %v)", err)
+	}
+	leased := map[string]bool{}
+	for i := 0; i < 2; i++ {
+		g, ok := q2.Lease("w2", now)
+		if !ok {
+			t.Fatalf("lease %d after restore: nothing ready", i)
+		}
+		leased[g.Item] = true
+	}
+	if !leased[g.Item] {
+		t.Errorf("torn item %s never re-leased (leased %v)", g.Item, leased)
+	}
+}
+
+// TestQueueRestoreIsolatesBadSpecs: a submission a crash cut short (a
+// torn spec.json.tmp and no spec.json) never reached a client, so
+// restore ignores it. A truncated spec.json, or one from another
+// simulator schema or scale table, fails its own job with a log line and
+// nothing else.
+func TestQueueRestoreIsolatesBadSpecs(t *testing.T) {
+	dir := t.TempDir()
+	q1, _ := newTestQueue(t, dir, QueueOptions{})
+	good := submitJob(t, q1, "a", PriorityNormal, 2)
+	torn := submitJob(t, q1, "a", PriorityNormal, 1)
+	cut := submitJob(t, q1, "a", PriorityNormal, 1)
+	stale := submitJob(t, q1, "a", PriorityNormal, 1)
+	rescaled := submitJob(t, q1, "a", PriorityNormal, 1)
+	q1.Close()
+
+	specOf := func(id string) string { return filepath.Join(dir, id, specFile) }
+	raw, err := os.ReadFile(specOf(torn.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(specOf(torn.ID)+".tmp", raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(specOf(torn.ID)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(specOf(cut.ID), int64(len(raw)/2)); err != nil {
+		t.Fatal(err)
+	}
+	rewrite := func(id string, edit func(*jobRecord)) {
+		raw, err := os.ReadFile(specOf(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec jobRecord
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		edit(&rec)
+		if err := writeSpec(filepath.Join(dir, id), rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rewrite(stale.ID, func(r *jobRecord) { r.Schema = sim.SchemaVersion - 1 })
+	rewrite(rescaled.ID, func(r *jobRecord) { r.Measured++ })
+
+	var logs []string
+	q2 := NewQueue(QueueOptions{Dir: dir})
+	sum, err := q2.Restore(testScales(), func(format string, a ...any) {
+		logs = append(logs, fmt.Sprintf(format, a...))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Jobs != 4 || sum.Terminal != 3 || sum.ItemsRequeued != 2 {
+		t.Errorf("restore summary %+v, want 4 jobs (3 failed) and the good job's 2 items requeued", sum)
+	}
+	if cur, ok := q2.Status(good.ID, "a"); !ok || cur.State != StateQueued || cur.Pending != 2 {
+		t.Errorf("good job restored as %+v (ok=%v), want queued with 2 pending items", cur, ok)
+	}
+	if _, ok := q2.Status(torn.ID, "a"); ok {
+		t.Error("a submission with only a torn spec.json.tmp was restored")
+	}
+	if cur, ok := q2.Status(cut.ID, ""); !ok || cur.State != StateFailed || !strings.Contains(cur.Error, specFile) {
+		t.Errorf("truncated-spec job restored as %+v (ok=%v), want failed naming %s", cur, ok, specFile)
+	}
+	if cur, ok := q2.Status(stale.ID, "a"); !ok || cur.State != StateFailed || !strings.Contains(cur.Error, "schema") {
+		t.Errorf("stale-schema job restored as %+v (ok=%v), want failed naming the schema", cur, ok)
+	}
+	if cur, ok := q2.Status(rescaled.ID, "a"); !ok || cur.State != StateFailed || !strings.Contains(cur.Error, "scale") {
+		t.Errorf("rescaled job restored as %+v (ok=%v), want failed naming the scale", cur, ok)
+	}
+	for _, id := range []string{cut.ID, stale.ID, rescaled.ID} {
+		if n := strings.Count(strings.Join(logs, "\n"), "job "+id+" "); n != 1 {
+			t.Errorf("job %s logged %d time(s), want once: %q", id, n, logs)
+		}
+	}
+	if g, ok := q2.Lease("w", time.Now()); !ok || g.Job != good.ID {
+		t.Errorf("first lease after restore = %+v (ok=%v), want the good job's", g, ok)
+	}
+	if st := submitJob(t, q2, "a", PriorityNormal, 1); st.ID != "j6" {
+		t.Errorf("next job id %s, want j6: no id reuses, the torn submission's included", st.ID)
 	}
 }

@@ -18,12 +18,15 @@
 // session assembles the figures/tables from the fully-warm store into
 // per-job CSVs.
 //
-// Every submission, lease grant and ack is journaled (queue.journal
-// under Dir, with job/lease/ack records), so a SIGKILLed daemon resumes
-// its queue with zero re-executed runs: acked items are adopted, unacked
-// items re-lease, completed-but-unassembled jobs re-finalize. Tenancy
-// is by bearer token: per-token concurrent-job quotas, three priority
-// levels, and round-robin token fairness within each level.
+// The job directory under Dir is the queue's record: a submission is
+// its synced spec.json, an ack is the rename of its shard result file,
+// a done job has all of its CSVs, and a failed or canceled one a state
+// file. A SIGKILLed daemon restarted
+// over the same directory resumes its queue with zero re-executed runs:
+// acked items are adopted, unacked items re-lease, completed-but-
+// unassembled jobs re-finalize. Tenancy is by bearer token: per-token
+// concurrent-job quotas, three priority levels, and round-robin token
+// fairness within each level.
 //
 // Routes (all /v1/* under bearer auth when tokens are configured):
 //
@@ -51,24 +54,18 @@ import (
 	"time"
 
 	"pracsim/internal/exp"
-	"pracsim/internal/exp/journal"
 	"pracsim/internal/exp/store"
 	"pracsim/internal/fault"
 	"pracsim/internal/httpd"
 	"pracsim/internal/retry"
-	"pracsim/internal/sim"
 )
-
-// queueFingerprint pins the queue journal to this daemon role; the
-// schema version in journal.Options orphans it across simulator bumps
-// exactly as store keys move.
-const queueFingerprint = "pracsimd/queue/1"
 
 // Options configures the daemon.
 type Options struct {
 	// Dir is the daemon's data directory: store/ (the run store and
-	// dedup oracle), queue.journal, and
-	// jobs/{id}/ (acked shard files and result CSVs). Required.
+	// dedup oracle) and jobs/{id}/ (the job's spec, acked shard files,
+	// result CSVs and failure or cancel state; see Queue.Restore).
+	// Required.
 	Dir string
 	// Budget caps the store's disk footprint in bytes; a write past it
 	// evicts least-recently-accessed entries (0 = unbounded).
@@ -96,23 +93,22 @@ type Options struct {
 
 // Server is the experiment service. It implements http.Handler.
 type Server struct {
-	opts    Options
-	store   *store.Store
-	disk    *store.Disk
-	journal *journal.Journal
-	queue   *Queue
-	tokens  *httpd.Tokens
-	reqs    *httpd.Metrics
-	mux     *http.ServeMux
-	start   time.Time
+	opts   Options
+	store  *store.Store
+	disk   *store.Disk
+	queue  *Queue
+	tokens *httpd.Tokens
+	reqs   *httpd.Metrics
+	mux    *http.ServeMux
+	start  time.Time
 
 	// finalizeSem serializes finalize sessions: they are CPU-bound only
 	// when results were lost, but even warm assembly is not free.
 	finalizeSem chan struct{}
 }
 
-// New opens the daemon's store and queue journal under opts.Dir and
-// restores the queue. The returned summary is the resume log line.
+// New opens the daemon's store under opts.Dir and restores the queue
+// from its job directory. The returned summary is the resume log line.
 func New(opts Options) (*Server, RestoreSummary, error) {
 	if opts.Scales == nil {
 		opts.Scales = defaultScales()
@@ -125,36 +121,27 @@ func New(opts Options) (*Server, RestoreSummary, error) {
 	if err != nil {
 		return nil, RestoreSummary{}, fmt.Errorf("service: %w", err)
 	}
-	jl, rec, err := journal.Open(filepath.Join(opts.Dir, "queue.journal"), journal.Options{
-		Schema:      sim.SchemaVersion,
-		Fingerprint: journal.Fingerprint(queueFingerprint),
-	})
-	if err != nil {
-		return nil, RestoreSummary{}, fmt.Errorf("service: %w", err)
-	}
 	q := NewQueue(QueueOptions{
-		Journal:  jl,
+		Dir:      filepath.Join(opts.Dir, "jobs"),
 		LeaseTTL: opts.LeaseTTL,
 		Attempts: opts.Attempts,
 		Quota:    opts.Quota,
 		Requeue:  retry.Policy{Base: 500 * time.Millisecond, Max: 10 * time.Second},
 	})
-	sum, err := q.Restore(rec, opts.Scales)
-	if err != nil {
-		jl.Close()
-		return nil, sum, fmt.Errorf("service: %w", err)
-	}
 	s := &Server{
 		opts:        opts,
 		store:       store.NewStore(disk),
 		disk:        disk,
-		journal:     jl,
 		queue:       q,
 		tokens:      httpd.ParseTokens(opts.Tokens),
 		reqs:        httpd.NewMetrics(),
 		mux:         http.NewServeMux(),
 		start:       time.Now(),
 		finalizeSem: make(chan struct{}, 1),
+	}
+	sum, err := q.Restore(opts.Scales, s.logf)
+	if err != nil {
+		return nil, sum, err
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -203,11 +190,12 @@ func (s *Server) sweep(ctx context.Context) {
 	}
 }
 
-// Close drains the daemon: the queue stops granting, the journal syncs
-// and closes. In-flight HTTP requests are the http.Server's to drain.
+// Close drains the daemon: the queue stops granting. Its state is
+// already on disk; in-flight HTTP requests are the http.Server's to
+// drain.
 func (s *Server) Close() error {
 	s.queue.Close()
-	return s.journal.Close()
+	return nil
 }
 
 // ServeHTTP dispatches to the service routes.
@@ -228,11 +216,6 @@ func (s *Server) logf(format string, a ...any) {
 	if s.opts.Log != nil {
 		s.opts.Log.Printf(format, a...)
 	}
-}
-
-// jobDir is where one job's acked shard files and results live.
-func (s *Server) jobDir(id string) string {
-	return filepath.Join(s.opts.Dir, "jobs", id)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 
@@ -74,28 +72,8 @@ func (g *GridSpec) normalize(scales map[string]exp.Scale) (exps []string, scale 
 // with no unknown fields, followed by nothing but whitespace.
 func decodeGridSpec(r io.Reader) (GridSpec, error) {
 	var g GridSpec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&g); err != nil {
+	if err := decodeStrict(r, &g); err != nil {
 		return GridSpec{}, err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return GridSpec{}, errors.New("trailing data after the grid spec")
-	}
-	return g, nil
-}
-
-// encode renders the spec for the journal's job record.
-func (g GridSpec) encode() []byte {
-	data, _ := json.Marshal(g)
-	return data
-}
-
-// decodeSpec parses a journaled spec.
-func decodeSpec(data []byte) (GridSpec, error) {
-	var g GridSpec
-	if err := json.Unmarshal(data, &g); err != nil {
-		return g, fmt.Errorf("service: journaled grid spec: %w", err)
 	}
 	return g, nil
 }

@@ -73,17 +73,17 @@ const (
 	// child: kill (SIGKILL its process group after the duration
 	// operand), delay (the launch waits the operand).
 	DispatchWorker = "dispatch.worker"
-	// JournalAppend fires in the queue journal's record append: err
+	// JournalAppend fires in the journal's record append: err
 	// (append fails, nothing written), short (a partial frame lands on
 	// disk and is immediately repaired by truncation), torn (a partial
 	// frame lands on disk and stays there — the crash-mid-append case
 	// recovery must truncate on the next open).
 	JournalAppend = "journal.append"
-	// JournalSync fires in the queue journal's fsync batch: err (the
+	// JournalSync fires in the journal's fsync batch: err (the
 	// sync fails; the journal stays usable and the next sync retries).
 	JournalSync = "journal.sync"
 	// ServiceSubmit fires in pracsimd's job-submit handler: err (500 —
-	// the job is not journaled and the client must retry), delay.
+	// the job is not recorded and the client must retry), delay.
 	ServiceSubmit = "service.submit"
 	// QueueLease fires on the work-item lease path — the daemon's grant
 	// handler and the pull worker's lease request alike: err, delay.

@@ -17,9 +17,9 @@
 //   - Experiments: Scale, ExpRunner and the Run* functions reproducing
 //     every evaluation table and figure.
 //
-// The experiment infrastructure — the run store, queue journal,
-// sharding, fault injection and the pracsimd service — stays internal;
-// the commands under cmd/ drive it.
+// The experiment infrastructure — the run store, sharding, fault
+// injection and the pracsimd service — stays internal; the commands
+// under cmd/ drive it.
 package pracsim
 
 import (
