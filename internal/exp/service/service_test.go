@@ -361,7 +361,8 @@ func TestServiceKillRestartZeroReexecution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Kill. Submission and ack records were synced to the journal as they
+	// Kill. The submission (the job directory's spec.json) and the ack
+	// (the renamed .runs file) reached the job directory as they
 	// happened, so dropping the daemon here loses nothing a SIGKILL
 	// would not.
 	d1.stop()

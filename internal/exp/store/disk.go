@@ -53,31 +53,36 @@ func DecodeFrame(data []byte, key string) ([]byte, error) {
 // parseFrameHeader reads a frame's prefix — magic, key, payload length —
 // without touching the payload, reporting where the payload starts. The
 // one parser both full validation (DecodeFrameAny) and cheap metadata
-// (Disk.Stat) build on.
-func parseFrameHeader(data []byte) (key string, payLen uint64, headerLen int, err error) {
+// (Disk.Stat) build on. The key aliases data, so a caller that only
+// compares it allocates nothing.
+func parseFrameHeader(data []byte) (key []byte, payLen uint64, headerLen int, err error) {
 	if !bytes.HasPrefix(data, []byte(magic)) {
-		return "", 0, 0, fmt.Errorf("store: bad magic")
+		return nil, 0, 0, fmt.Errorf("store: bad magic")
 	}
 	rest := data[len(magic):]
 	keyLen, n := binary.Uvarint(rest)
 	if n <= 0 || uint64(len(rest)-n) < keyLen {
-		return "", 0, 0, fmt.Errorf("store: truncated key")
+		return nil, 0, 0, fmt.Errorf("store: truncated key")
 	}
 	rest = rest[n:]
-	key = string(rest[:keyLen])
+	key = rest[:keyLen]
 	rest = rest[keyLen:]
 	payLen, m := binary.Uvarint(rest)
 	if m <= 0 {
-		return "", 0, 0, fmt.Errorf("store: truncated payload length")
+		return nil, 0, 0, fmt.Errorf("store: truncated payload length")
 	}
 	return key, payLen, len(magic) + n + int(keyLen) + m, nil
 }
+
+// maxHeaderLen bounds the frame header of an entry stored under key:
+// the magic, two uvarint lengths and the key itself.
+func maxHeaderLen(key string) int { return len(magic) + 2*binary.MaxVarintLen64 + len(key) }
 
 // DecodeFrameAny validates a framed entry without an expected key and
 // returns the key it carries alongside the payload — List's validation,
 // which learns each key from the file itself.
 func DecodeFrameAny(data []byte) (key string, payload []byte, err error) {
-	key, payLen, headerLen, err := parseFrameHeader(data)
+	rawKey, payLen, headerLen, err := parseFrameHeader(data)
 	if err != nil {
 		return "", nil, err
 	}
@@ -92,7 +97,7 @@ func DecodeFrameAny(data []byte) (key string, payload []byte, err error) {
 	if !bytes.Equal(sum[:], rest[payLen:]) {
 		return "", nil, fmt.Errorf("store: payload checksum mismatch")
 	}
-	return key, payload, nil
+	return string(rawKey), payload, nil
 }
 
 // Disk is the local-directory backend: one checksummed entry file per
@@ -295,9 +300,9 @@ func (d *Disk) Stat(key string) (Info, error) {
 	if err != nil {
 		return Info{}, fmt.Errorf("store: %w", err)
 	}
-	// Run keys are a couple hundred bytes; a header that does not fit
-	// in this prefix is not one of ours.
-	buf := make([]byte, 4096)
+	// The header of an entry stored under key fits in maxHeaderLen(key)
+	// bytes; one that does not carries a different key.
+	buf := make([]byte, maxHeaderLen(key))
 	n, rerr := io.ReadFull(f, buf)
 	if rerr != nil && rerr != io.ErrUnexpectedEOF {
 		return Info{}, fmt.Errorf("store: %w", rerr)
@@ -306,7 +311,7 @@ func (d *Disk) Stat(key string) (Info, error) {
 	if err != nil {
 		return Info{}, err
 	}
-	if gotKey != key {
+	if string(gotKey) != key {
 		return Info{}, fmt.Errorf("store: key mismatch (hash collision or tampering)")
 	}
 	if uint64(fi.Size()) != uint64(headerLen)+payLen+sha256.Size {
@@ -361,6 +366,8 @@ func (d *Disk) ListEach(fn func(Info) error) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	// Run keys are well under 4 KB; a header that does not fit in this
+	// prefix is not one of ours.
 	buf := make([]byte, 4096)
 	for _, de := range dirents {
 		name := de.Name()
@@ -381,8 +388,12 @@ func (d *Disk) ListEach(fn func(Info) error) error {
 		if rerr != nil && rerr != io.ErrUnexpectedEOF {
 			continue
 		}
-		key, payLen, headerLen, err := parseFrameHeader(buf[:n])
-		if err != nil || Hash(key)+".run" != name {
+		rawKey, payLen, headerLen, err := parseFrameHeader(buf[:n])
+		if err != nil {
+			continue
+		}
+		key := string(rawKey)
+		if Hash(key)+".run" != name {
 			continue
 		}
 		if uint64(fi.Size()) != uint64(headerLen)+payLen+sha256.Size {

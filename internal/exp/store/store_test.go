@@ -199,22 +199,28 @@ func TestResolveAutoDegradesToOff(t *testing.T) {
 
 // TestKeyMismatchIsAMiss simulates a hash collision: an entry file whose
 // embedded key differs from the requested key must be a miss even though
-// it is internally consistent.
+// it is internally consistent, for Get and for Stat, whether the foreign
+// key is shorter or longer than the header Stat reads for the wanted key.
 func TestKeyMismatchIsAMiss(t *testing.T) {
 	s := open(t)
-	if err := s.Put("other-key", []byte("other payload")); err != nil {
-		t.Fatal(err)
-	}
-	// Copy other-key's entry file to where "wanted-key" would live.
-	data, err := os.ReadFile(s.Disk().path("other-key"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(s.Disk().path("wanted-key"), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := s.Get("wanted-key"); ok {
-		t.Errorf("colliding entry served as a hit: %q", got)
+	for _, other := range []string{"other-key", "a-foreign-key-" + strings.Repeat("x", 64)} {
+		if err := s.Put(other, []byte("other payload")); err != nil {
+			t.Fatal(err)
+		}
+		// Copy the other key's entry file to where "wanted-key" would live.
+		data, err := os.ReadFile(s.Disk().path(other))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(s.Disk().path("wanted-key"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if info, err := s.Disk().Stat("wanted-key"); err == nil {
+			t.Errorf("Stat described %q's entry as wanted-key's: %+v", other, info)
+		}
+		if got, ok := s.Get("wanted-key"); ok {
+			t.Errorf("colliding entry served as a hit: %q", got)
+		}
 	}
 }
 

@@ -73,6 +73,10 @@ const (
 	// child: kill (SIGKILL its process group after the duration
 	// operand), delay (the launch waits the operand).
 	DispatchWorker = "dispatch.worker"
+	// JournalAppend and JournalSync fire only inside
+	// internal/exp/journal; pracsimd and tpracsim write no journal, so a
+	// schedule naming them there parses and never fires.
+	//
 	// JournalAppend fires in the journal's record append: err
 	// (append fails, nothing written), short (a partial frame lands on
 	// disk and is immediately repaired by truncation), torn (a partial

@@ -7,10 +7,12 @@ import (
 )
 
 // FuzzDecodeResult fuzzes the decoder every run-store hit goes through.
-// For any input DecodeResult must not panic. An input it accepts must
-// re-encode to bytes that decode to an identical RunResult and re-encode
-// to the same bytes, and corrupting that canonical encoding (truncating
-// it, or appending a byte after the envelope) must yield an error.
+// For any input DecodeResult must not panic; the seeds include length
+// fields near 2^64, whose allocation TestDecodeResultHostileLengths
+// bounds. An input it accepts must be exactly
+// the encoding of the result it decodes to (re-encoding reproduces the
+// input byte for byte), and corrupting that encoding (truncating it, or
+// appending a byte after the last field) must yield an error.
 func FuzzDecodeResult(f *testing.F) {
 	good, err := EncodeResult(sampleResult())
 	if err != nil {
@@ -25,15 +27,16 @@ func FuzzDecodeResult(f *testing.F) {
 		for _, n := range []int{0, 1, len(data) / 2, len(data) - 1} {
 			f.Add(data[:n])
 		}
-		f.Add(append(bytes.Clone(data), '}'))
+		f.Add(append(bytes.Clone(data), 0))
+	}
+	for _, data := range hostileLengths() {
+		f.Add(data)
 	}
 	for _, s := range []string{
-		"{",
-		"null",
-		`{"schema":3}`,
-		`{"schema":3,"result":{"NoSuchField":1}}`,
-		`{"schema":3,"result":{"PerCoreIPC":[1e400]}}`,
-		`{"schema":2,"result":{}}`,
+		"\x03",     // the previous schema's stamp, alone
+		"\x84\x00", // a non-minimal schema stamp
+		"\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", // a stamp that overflows 64 bits
+		`{"schema":4,"result":{}}`,
 		"\x00\xff garbage",
 	} {
 		f.Add([]byte(s))
@@ -47,6 +50,9 @@ func FuzzDecodeResult(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded result does not re-encode: %v", err)
 		}
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("accepted input is not the canonical encoding:\n got % x\nwant % x", enc, data)
+		}
 		again, err := DecodeResult(enc)
 		if err != nil {
 			t.Fatalf("re-encoded result does not decode: %v", err)
@@ -55,11 +61,11 @@ func FuzzDecodeResult(f *testing.F) {
 			t.Fatalf("re-encode changed the result:\n got %+v\nwant %+v", again, r)
 		}
 		if enc2, _ := EncodeResult(again); !bytes.Equal(enc2, enc) {
-			t.Fatalf("equal results encoded to different bytes:\n%s\n%s", enc2, enc)
+			t.Fatalf("equal results encoded to different bytes:\n% x\n% x", enc2, enc)
 		}
 		for _, bad := range [][]byte{enc[:len(enc)-1], enc[:len(enc)/2], append(bytes.Clone(enc), 'x')} {
 			if _, err := DecodeResult(bad); err == nil {
-				t.Fatalf("corrupt encoding %q decoded", bad)
+				t.Fatalf("corrupt encoding % x decoded", bad)
 			}
 		}
 	})
