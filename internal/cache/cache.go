@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"pracsim/internal/ticks"
 )
@@ -110,6 +111,8 @@ type Cache struct {
 	free     []int   // idle slab slots, used as a stack
 	inFlight []int32 // per set: first slot of its chain of in-flight fetches, or -1
 
+	ways *wayState // owns keys, dirty, lru, clock, rrpv and inFlight; nil once recycled
+
 	prefetcher *IPStride
 	targets    []uint64 // prefetcher output buffer, reused every access
 
@@ -130,6 +133,83 @@ const (
 // can hold: every address below it has a tag of at most 31 bits.
 func (cfg Config) MaxLines() uint64 { return uint64(cfg.Sets) * (maxTag + 1) }
 
+// wayState is the storage behind a level's way arrays. Levels of one
+// shape hand it on through spareWays, so a process that builds level
+// after level (an experiment grid) allocates it once per concurrently
+// live level instead of once per level.
+type wayState struct {
+	keys     []uint32
+	dirty    []bool
+	meta     []uint8 // LRU: a stamp per way, then a clock per set; SRRIP: an RRPV per way
+	inFlight []int32
+}
+
+// wayShape identifies the levels that can share a wayState.
+type wayShape struct {
+	sets, ways int
+	repl       ReplKind
+}
+
+// spareWays holds the way state of recycled levels, a stack per shape.
+// It keeps pointers, so a Recycle allocates nothing once its shape's
+// stack has grown to the number of levels of that shape ever live at
+// once, which also bounds what the stacks retain.
+var spareWays = struct {
+	sync.Mutex
+	byShape map[wayShape][]*wayState
+}{byShape: map[wayShape][]*wayState{}}
+
+// takeWays returns zeroed way state for shape, recycled if a level of
+// that shape was recycled earlier, with every set's in-flight chain empty.
+func takeWays(shape wayShape) *wayState {
+	spareWays.Lock()
+	stack := spareWays.byShape[shape]
+	var ws *wayState
+	if n := len(stack); n > 0 {
+		ws = stack[n-1]
+		stack[n-1] = nil
+		spareWays.byShape[shape] = stack[:n-1]
+	}
+	spareWays.Unlock()
+	n := shape.sets * shape.ways
+	if ws == nil {
+		meta := n
+		if shape.repl == LRU {
+			meta += shape.sets
+		}
+		ws = &wayState{
+			keys:     make([]uint32, n),
+			dirty:    make([]bool, n),
+			meta:     make([]uint8, meta),
+			inFlight: make([]int32, shape.sets),
+		}
+	} else {
+		clear(ws.keys)
+		clear(ws.dirty)
+		clear(ws.meta)
+	}
+	for s := range ws.inFlight {
+		ws.inFlight[s] = -1
+	}
+	return ws
+}
+
+// Recycle hands the level's way state to the next New of the same shape.
+// The level must not be used again: its way arrays are gone, so any
+// access panics. Recycling a level twice is a no-op.
+func (c *Cache) Recycle() {
+	ws := c.ways
+	if ws == nil {
+		return
+	}
+	c.ways = nil
+	c.keys, c.dirty, c.lru, c.clock, c.rrpv, c.inFlight = nil, nil, nil, nil, nil, nil
+	shape := wayShape{c.cfg.Sets, c.cfg.Ways, c.cfg.Repl}
+	spareWays.Lock()
+	spareWays.byShape[shape] = append(spareWays.byShape[shape], ws)
+	spareWays.Unlock()
+}
+
 // New builds a cache level over the given downstream fetcher.
 func New(cfg Config, next Fetcher) (*Cache, error) {
 	switch {
@@ -143,29 +223,26 @@ func New(cfg Config, next Fetcher) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: MSHRs must be positive", cfg.Name)
 	case cfg.Latency < 0:
 		return nil, fmt.Errorf("cache %s: negative latency", cfg.Name)
+	case cfg.Repl != LRU && cfg.Repl != SRRIP:
+		return nil, fmt.Errorf("cache %s: unknown replacement policy %d", cfg.Name, int(cfg.Repl))
 	}
 	n := cfg.Sets * cfg.Ways
+	ws := takeWays(wayShape{cfg.Sets, cfg.Ways, cfg.Repl})
 	c := &Cache{
 		cfg:      cfg,
 		setShift: uint(bits.TrailingZeros(uint(cfg.Sets))),
 		next:     next,
-		keys:     make([]uint32, n),
-		dirty:    make([]bool, n),
+		keys:     ws.keys,
+		dirty:    ws.dirty,
 		mshrs:    make([]mshr, cfg.MSHRs),
 		free:     make([]int, cfg.MSHRs),
-		inFlight: make([]int32, cfg.Sets),
+		inFlight: ws.inFlight,
+		ways:     ws,
 	}
-	switch cfg.Repl {
-	case LRU:
-		stamps := make([]uint8, n+cfg.Sets)
-		c.lru, c.clock = stamps[:n:n], stamps[n:]
-	case SRRIP:
-		c.rrpv = make([]uint8, n)
-	default:
-		return nil, fmt.Errorf("cache %s: unknown replacement policy %d", cfg.Name, int(cfg.Repl))
-	}
-	for s := range c.inFlight {
-		c.inFlight[s] = -1
+	if cfg.Repl == LRU {
+		c.lru, c.clock = ws.meta[:n:n], ws.meta[n:]
+	} else {
+		c.rrpv = ws.meta
 	}
 	for i := range c.mshrs {
 		c.mshrs[i].fill = func(at ticks.T) { c.fill(i, at) }

@@ -1,6 +1,9 @@
 package dram
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+)
 
 // counterSlot is one entry of a rowCounters table: key is row+1, so the
 // zero value marks an empty slot (whose count is always 0).
@@ -112,15 +115,64 @@ func (t *rowCounters) hottest() (row int, count uint32) {
 	return row, count
 }
 
-// grow doubles the table (or allocates its first slots) and reinserts
-// every live entry.
+// grow doubles the table (or takes its first slots) and reinserts every
+// live entry, then recycles the outgrown table.
 func (t *rowCounters) grow() {
 	old := t.slots
-	t.slots = make([]counterSlot, max(2*len(old), minCounterSlots))
+	t.slots = takeSlots(max(2*len(old), minCounterSlots))
 	t.shift = uint8(64 - bits.TrailingZeros(uint(len(t.slots))))
 	for _, s := range old {
 		if s.key != 0 {
 			t.slots[t.find(s.key)] = s
 		}
 	}
+	putSlots(old)
+}
+
+// recycle empties the table and hands its slots to the next table of
+// the same size.
+func (t *rowCounters) recycle() {
+	putSlots(t.slots)
+	*t = rowCounters{}
+}
+
+// spareSlots holds recycled counter tables, a stack per power-of-two
+// size: spareSlots.bySize[k] holds tables of 1<<k slots. Stacking slice
+// headers in slices of a fixed array keeps a put free of allocations once
+// a size's stack has reached the number of tables of that size ever
+// spare at once, which also bounds what the stacks retain.
+var spareSlots struct {
+	sync.Mutex
+	bySize [bits.UintSize][][]counterSlot
+}
+
+// takeSlots returns n zeroed slots (n a power of two), recycled if a
+// table of that size was put back earlier.
+func takeSlots(n int) []counterSlot {
+	k := bits.TrailingZeros(uint(n))
+	spareSlots.Lock()
+	stack := spareSlots.bySize[k]
+	var slots []counterSlot
+	if m := len(stack); m > 0 {
+		slots = stack[m-1]
+		stack[m-1] = nil
+		spareSlots.bySize[k] = stack[:m-1]
+	}
+	spareSlots.Unlock()
+	if slots == nil {
+		return make([]counterSlot, n)
+	}
+	clear(slots)
+	return slots
+}
+
+// putSlots recycles a table; a nil table is ignored.
+func putSlots(slots []counterSlot) {
+	if slots == nil {
+		return
+	}
+	k := bits.TrailingZeros(uint(len(slots)))
+	spareSlots.Lock()
+	spareSlots.bySize[k] = append(spareSlots.bySize[k], slots)
+	spareSlots.Unlock()
 }

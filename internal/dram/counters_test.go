@@ -149,3 +149,108 @@ func TestRowCountersFootprint(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledCountersAllocFree pins the counter-table recycling: once a
+// table's growth from 16 slots to 2048 has run and the table has been
+// recycled, regrowing another table the same way takes every size from
+// the recycled tables (its own outgrown ones included) and allocates
+// nothing.
+func TestRecycledCountersAllocFree(t *testing.T) {
+	regrow := func() {
+		var tab rowCounters
+		for row := range 1500 {
+			tab.inc(row * 7)
+		}
+		if len(tab.slots) != 2048 {
+			t.Fatalf("1500 rows in %d slots, want 2048", len(tab.slots))
+		}
+		tab.recycle()
+	}
+	regrow()
+	if allocs := testing.AllocsPerRun(20, regrow); allocs != 0 {
+		t.Errorf("regrowing a recycled table allocates %.2f objects, want 0", allocs)
+	}
+}
+
+// TestRecycledCountersMatchFresh checks that a table grown on recycled
+// slots, each holding another table's counts, behaves as one grown on
+// fresh slots: same length, same slot contents after the same stream.
+func TestRecycledCountersMatchFresh(t *testing.T) {
+	stream := func(tab *rowCounters, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		for range 3000 {
+			row := rng.Intn(900)
+			if rng.Intn(4) == 0 {
+				tab.del(row)
+			} else {
+				tab.inc(row)
+			}
+		}
+	}
+	// Grow the reference on fresh slots: set the spare tables aside.
+	spareSlots.Lock()
+	spare := spareSlots.bySize
+	spareSlots.bySize = [len(spare)][][]counterSlot{}
+	spareSlots.Unlock()
+	var fresh rowCounters
+	stream(&fresh, 2)
+	spareSlots.Lock()
+	spareSlots.bySize = spare
+	spareSlots.Unlock()
+	for seed := int64(3); seed < 6; seed++ {
+		var dirty rowCounters
+		stream(&dirty, seed)
+		n := len(dirty.slots)
+		dirty.recycle()
+		// A table with stale keys could make a probe loop forever, so
+		// check the recycled slots directly before streaming into them.
+		slots := takeSlots(n)
+		for i, s := range slots {
+			if s != (counterSlot{}) {
+				t.Fatalf("after seed %d's table: recycled slot %d holds %+v", seed, i, s)
+			}
+		}
+		putSlots(slots)
+		var tab rowCounters
+		stream(&tab, 2)
+		if len(tab.slots) != len(fresh.slots) || tab.n != fresh.n || tab.shift != fresh.shift {
+			t.Fatalf("after seed %d's table: recycled table has %d slots, %d rows, shift %d; fresh %d, %d, %d",
+				seed, len(tab.slots), tab.n, tab.shift, len(fresh.slots), fresh.n, fresh.shift)
+		}
+		for i := range tab.slots {
+			if tab.slots[i] != fresh.slots[i] {
+				t.Fatalf("after seed %d's table: slot %d = %+v, fresh %+v", seed, i, tab.slots[i], fresh.slots[i])
+			}
+		}
+		tab.recycle()
+	}
+}
+
+// TestRecycledModulePanics checks that a recycled-away module cannot be
+// used by mistake: its counter tables belong to other modules now, so
+// commands and counter reads panic instead of touching them.
+func TestRecycledModulePanics(t *testing.T) {
+	m := MustNew(smallConfig(1 << 30))
+	now := hammerOne(m, 1, 3, 0)
+	if m.RowCounter(1, 3) != 1 {
+		t.Fatal("activation not counted")
+	}
+	m.Recycle()
+	m.Recycle()
+	for name, use := range map[string]func(){
+		"RowCounter": func() { m.RowCounter(1, 3) },
+		"HottestRow": func() { m.HottestRow(1) },
+		"CanIssue":   func() { m.CanIssue(Cmd{Kind: CmdACT, Bank: 1, Row: 3}, now) },
+		"Issue":      func() { m.Issue(Cmd{Kind: CmdACT, Bank: 1, Row: 3}, now) },
+	} {
+		if !panics(use) {
+			t.Errorf("%s on a recycled module did not panic", name)
+		}
+	}
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
+}

@@ -135,6 +135,17 @@ func New(cfg Config) (*Module, error) {
 	return m, nil
 }
 
+// Recycle hands every bank's PRAC counter table to the next tables of the
+// same size. The module must not be used again: its banks are gone, so
+// any command or counter read panics. Recycling a module twice is a
+// no-op.
+func (m *Module) Recycle() {
+	for i := range m.banks {
+		m.banks[i].counters.recycle()
+	}
+	m.banks, m.rankBlockedUntil = nil, nil
+}
+
 // MustNew is New but panics on configuration errors; intended for tests and
 // experiment setup where the configuration is a literal.
 func MustNew(cfg Config) *Module {

@@ -277,12 +277,7 @@ func (r *runner) run(v Variant, workload string) (sim.RunResult, error) {
 		if r.scale.Differential {
 			res, err = sim.RunDifferential(cfg, r.scale.Warmup, r.scale.Measured)
 		} else {
-			var sys *sim.System
-			sys, err = sim.NewSystem(cfg)
-			if err != nil {
-				return sim.RunResult{}, err
-			}
-			res, err = sys.Run(r.scale.Warmup, r.scale.Measured)
+			res, err = sim.Execute(cfg, r.scale.Warmup, r.scale.Measured)
 		}
 		if err != nil {
 			return sim.RunResult{}, fmt.Errorf("exp: %s on %s: %w", v.Name, workload, err)

@@ -44,11 +44,7 @@ func RunDifferential(cfg SystemConfig, warmup, measured int64) (RunResult, error
 	run := func(clock Clocking) (RunResult, error) {
 		c := cfg
 		c.Clock = clock
-		sys, err := NewSystem(c)
-		if err != nil {
-			return RunResult{}, err
-		}
-		return sys.Run(warmup, measured)
+		return Execute(c, warmup, measured)
 	}
 	demand, err := run(ClockDemand)
 	if err != nil {

@@ -172,6 +172,33 @@ func checkTagWidth(lines uint64, prefetch bool, levels ...cache.Config) error {
 	return nil
 }
 
+// Execute builds a System from cfg, runs warmup then measured
+// instructions on it (see Run), and recycles the System's cache way
+// state and PRAC counter tables whether or not the run succeeds, so the
+// next System of the same shape reuses them instead of allocating. It
+// is the one path the experiment runners use to execute a simulation.
+func Execute(cfg SystemConfig, warmup, measured int64) (RunResult, error) {
+	sys, err := NewSystem(cfg)
+	if err != nil {
+		return RunResult{}, err
+	}
+	defer sys.recycle()
+	return sys.Run(warmup, measured)
+}
+
+// recycle hands the System's cache way state and PRAC counter tables to
+// later Systems. The System must not be used again.
+func (s *System) recycle() {
+	for _, c := range s.L1s {
+		c.Recycle()
+	}
+	for _, c := range s.L2s {
+		c.Recycle()
+	}
+	s.LLC.Recycle()
+	s.Mod.Recycle()
+}
+
 // NewSystem builds and wires a System.
 func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.Cores <= 0 {
