@@ -1,11 +1,13 @@
 package attack
 
 import (
+	"reflect"
 	"testing"
 
 	"pracsim/internal/dram"
 	"pracsim/internal/memctrl"
 	"pracsim/internal/mitigation"
+	"pracsim/internal/spare"
 	"pracsim/internal/ticks"
 )
 
@@ -259,6 +261,38 @@ func TestAESAttackRecoversKeyNibble(t *testing.T) {
 	total := int(hot) + res.AttackerCount
 	if total < 250 || total > 262 {
 		t.Errorf("victim+attacker activations = %d, want about NBO=256", total)
+	}
+}
+
+// TestRecycledEnvMatchesFresh: an attack runner hands its controller
+// and module to the spares when it returns, and the same attack run
+// again on that storage reports exactly the same result, samples and
+// probe order included.
+func TestRecycledEnvMatchesFresh(t *testing.T) {
+	cfg := AESConfig{
+		Key:         []byte{0x3c, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+		Encryptions: 100,
+		NBO:         256,
+		Seed:        5,
+	}
+	first, err := RunAESAttack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := spare.Held()
+	if held["memctrl"] == 0 || held["dram.banks"] == 0 {
+		t.Fatalf("spares after an attack: %v, want its controller and banks", held)
+	}
+	second, err := RunAESAttack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := spare.Held(); after["memctrl"] != held["memctrl"] || after["dram.banks"] != held["dram.banks"] {
+		t.Errorf("spares %v after a second serial attack, want %v", after, held)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("attack on recycled storage differs: row %d count %d, fresh row %d count %d",
+			second.SpikeRow, second.AttackerCount, first.SpikeRow, first.AttackerCount)
 	}
 }
 

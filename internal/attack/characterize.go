@@ -51,6 +51,7 @@ func RunCharacterization(cfg CharacterizeConfig) (CharacterizeResult, error) {
 	if err != nil {
 		return CharacterizeResult{}, err
 	}
+	defer env.recycle()
 
 	// Attacker: open-page probe in a different bank from the victim,
 	// plus a watcher in another rank so RFM spikes can be told apart

@@ -84,6 +84,7 @@ func RunActivityChannel(cfg ActivityConfig) (ChannelResult, error) {
 	if err != nil {
 		return ChannelResult{}, err
 	}
+	defer env.recycle()
 	tm := dcfg.Timing
 
 	window := cfg.Window
@@ -236,6 +237,7 @@ func RunCountChannel(cfg CountConfig) (ChannelResult, error) {
 	if err != nil {
 		return ChannelResult{}, err
 	}
+	defer env.recycle()
 	tm := dcfg.Timing
 
 	window := cfg.Window

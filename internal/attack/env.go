@@ -95,6 +95,16 @@ func (e *Env) Read(bank, row, col int, done func(at ticks.T)) bool {
 // Run advances the environment to the given absolute time.
 func (e *Env) Run(until ticks.T) { e.Eng.Run(until) }
 
+// recycle hands the controller's queues and tables and the module's
+// banks and counter tables to the next environment of the same shape,
+// controller first so no queued completion survives. The attack
+// runners defer it once they have read their results; the environment
+// must not be run again.
+func (e *Env) recycle() {
+	e.Ctrl.Recycle()
+	e.Mod.Recycle()
+}
+
 // Sample is one latency measurement taken by a prober.
 type Sample struct {
 	At      ticks.T // request issue time

@@ -128,8 +128,6 @@ func TestRoundRobinProbeAllocFree(t *testing.T) {
 	rr := newRoundRobin(env, &CoincidenceDetector{ThrA: ticks.FromUS(1000)}, 0)
 	rr.order = make([]int, 0, 1<<14)
 	rr.samples = make([]Sample, 0, 1<<14)
-	rr.rowAt = make([]int, 0, 1<<14)
-	rr.cntAt = make([]int, 0, 1<<14)
 	rr.step()
 	env.Run(ticks.FromUS(5))
 	before := len(rr.samples)

@@ -126,6 +126,7 @@ func RunAESAttack(cfg AESConfig) (AESResult, error) {
 	if err != nil {
 		return AESResult{}, err
 	}
+	defer env.recycle()
 
 	cipher, err := aes.NewCipher(cfg.Key)
 	if err != nil {
@@ -334,7 +335,15 @@ func probeRoundRobin(env *Env, watcher *Prober, det *CoincidenceDetector, table,
 	if trigIdx < 0 {
 		trigIdx = 0
 	}
-	return tableRow(table, rr.rowAt[trigIdx]), rr.cntAt[trigIdx], rr.order, rr.samples, nil
+	// The row had received one probe per earlier occurrence in the
+	// order, the triggering probe included.
+	row = rr.order[trigIdx]
+	for _, r := range rr.order[:trigIdx+1] {
+		if r == row {
+			count++
+		}
+	}
+	return row, count, rr.order, rr.samples, nil
 }
 
 // roundRobin is probeRoundRobin's probe chain. Each probe's issue time and
@@ -350,12 +359,9 @@ type roundRobin struct {
 
 	idx      int // probes issued
 	finished bool
-	perRow   [aes.CacheLinesPerTable]int
 
 	order   []int    // row of each sample
 	samples []Sample // every probe, in completion order
-	rowAt   []int    // probed line per sample index
-	cntAt   []int    // perRow count of that line at that sample
 	spikes  []int    // indices of samples above det.ThrA
 
 	free   []*rrProbe // completed probes, ready for reuse
@@ -376,8 +382,6 @@ func newRoundRobin(env *Env, det *CoincidenceDetector, table int) *roundRobin {
 		env:   env,
 		det:   det,
 		table: table,
-		rowAt: make([]int, 0, 1024),
-		cntAt: make([]int, 0, 1024),
 	}
 	rr.retry = rr.step
 	rr.finish = func(ticks.T) { rr.finished = true }
@@ -408,12 +412,9 @@ func (p *rrProbe) onComplete(at ticks.T) {
 	rr := p.rr
 	line, lat := p.line, at-p.arrive
 	rr.free = append(rr.free, p)
-	rr.perRow[line]++
 	row := tableRow(rr.table, line)
 	rr.order = append(rr.order, row)
 	rr.samples = append(rr.samples, Sample{At: p.arrive, Latency: lat, Row: row})
-	rr.rowAt = append(rr.rowAt, line)
-	rr.cntAt = append(rr.cntAt, rr.perRow[line])
 	if lat > rr.det.ThrA {
 		rr.spikes = append(rr.spikes, len(rr.samples)-1)
 		// Stop probing shortly after a raw spike so the offline

@@ -12,8 +12,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 
+	"pracsim/internal/spare"
 	"pracsim/internal/ticks"
 )
 
@@ -71,13 +71,14 @@ type Stats struct {
 
 // mshr is one slot of a level's miss-handling slab. Slots are recycled,
 // never freed: waiters keeps its capacity across misses and fill is
-// bound to the slot once, in New, so a miss allocates nothing.
+// bound to the slot once, when its slab is built, so a miss allocates
+// nothing.
 type mshr struct {
 	line    uint64
 	waiters []func(at ticks.T)
 	write   bool             // at least one merged request was a store
 	next    int32            // next in-flight slot of the same set, or -1
-	fill    func(at ticks.T) // completes this slot's fetch
+	fill    func(at ticks.T) // completes this slot's fetch in the slab's current level
 }
 
 // Cache is one level of the hierarchy.
@@ -111,7 +112,7 @@ type Cache struct {
 	free     []int   // idle slab slots, used as a stack
 	inFlight []int32 // per set: first slot of its chain of in-flight fetches, or -1
 
-	ways *wayState // owns keys, dirty, lru, clock, rrpv and inFlight; nil once recycled
+	state *levelState // owns every slice above, mshrs and targets; nil once recycled
 
 	prefetcher *IPStride
 	targets    []uint64 // prefetcher output buffer, reused every access
@@ -133,81 +134,104 @@ const (
 // can hold: every address below it has a tag of at most 31 bits.
 func (cfg Config) MaxLines() uint64 { return uint64(cfg.Sets) * (maxTag + 1) }
 
-// wayState is the storage behind a level's way arrays. Levels of one
-// shape hand it on through spareWays, so a process that builds level
-// after level (an experiment grid) allocates it once per concurrently
-// live level instead of once per level.
-type wayState struct {
+// levelState is the storage behind a level: its way arrays and its MSHR
+// slab. Levels of one shape hand it on through spareLevels, so a process
+// that builds level after level (an experiment grid) allocates it once
+// per concurrently live level instead of once per level. The slab's fill
+// closures complete into level, which New points at the level it builds,
+// so they are bound once per levelState.
+type levelState struct {
 	keys     []uint32
 	dirty    []bool
 	meta     []uint8 // LRU: a stamp per way, then a clock per set; SRRIP: an RRPV per way
 	inFlight []int32
+	mshrs    []mshr
+	free     []int
+	targets  []uint64
+	level    *Cache // the level the fill closures complete into; nil while spare
 }
 
-// wayShape identifies the levels that can share a wayState.
-type wayShape struct {
+// levelShape identifies the levels that can share a levelState.
+type levelShape struct {
 	sets, ways int
 	repl       ReplKind
+	mshrs      int
 }
 
-// spareWays holds the way state of recycled levels, a stack per shape.
-// It keeps pointers, so a Recycle allocates nothing once its shape's
-// stack has grown to the number of levels of that shape ever live at
-// once, which also bounds what the stacks retain.
-var spareWays = struct {
-	sync.Mutex
-	byShape map[wayShape][]*wayState
-}{byShape: map[wayShape][]*wayState{}}
+// spareLevels holds the storage of recycled levels, a stack per shape.
+var spareLevels = spare.New[levelShape, *levelState]("cache.level")
 
-// takeWays returns zeroed way state for shape, recycled if a level of
-// that shape was recycled earlier, with every set's in-flight chain empty.
-func takeWays(shape wayShape) *wayState {
-	spareWays.Lock()
-	stack := spareWays.byShape[shape]
-	var ws *wayState
-	if n := len(stack); n > 0 {
-		ws = stack[n-1]
-		stack[n-1] = nil
-		spareWays.byShape[shape] = stack[:n-1]
-	}
-	spareWays.Unlock()
+// newLevelState allocates the storage of a level of shape and binds its
+// fill closures.
+func newLevelState(shape levelShape) *levelState {
 	n := shape.sets * shape.ways
-	if ws == nil {
-		meta := n
-		if shape.repl == LRU {
-			meta += shape.sets
-		}
-		ws = &wayState{
-			keys:     make([]uint32, n),
-			dirty:    make([]bool, n),
-			meta:     make([]uint8, meta),
-			inFlight: make([]int32, shape.sets),
-		}
-	} else {
-		clear(ws.keys)
-		clear(ws.dirty)
-		clear(ws.meta)
+	meta := n
+	if shape.repl == LRU {
+		meta += shape.sets
 	}
-	for s := range ws.inFlight {
-		ws.inFlight[s] = -1
+	ls := &levelState{
+		keys:     make([]uint32, n),
+		dirty:    make([]bool, n),
+		meta:     make([]uint8, meta),
+		inFlight: make([]int32, shape.sets),
+		mshrs:    make([]mshr, shape.mshrs),
+		free:     make([]int, 0, shape.mshrs),
 	}
-	return ws
+	for i := range ls.mshrs {
+		ls.mshrs[i].fill = func(at ticks.T) { ls.level.fill(i, at) }
+	}
+	return ls
 }
 
-// Recycle hands the level's way state to the next New of the same shape.
-// The level must not be used again: its way arrays are gone, so any
-// access panics. Recycling a level twice is a no-op.
+// takeLevel returns storage for a level of shape, recycled if a level of
+// that shape was recycled earlier: empty ways, no set with a fetch in
+// flight and every slab slot free, slot 0 on top.
+func takeLevel(shape levelShape) *levelState {
+	ls, ok := spareLevels.Take(shape)
+	if ok {
+		clear(ls.keys)
+		clear(ls.dirty)
+		clear(ls.meta)
+	} else {
+		ls = newLevelState(shape)
+	}
+	for s := range ls.inFlight {
+		ls.inFlight[s] = -1
+	}
+	ls.free = ls.free[:0]
+	for i := len(ls.mshrs) - 1; i >= 0; i-- {
+		ls.free = append(ls.free, i)
+	}
+	return ls
+}
+
+// Recycle hands the level's storage, and its prefetcher's, to the next
+// New of the same shape. Every fetch still in flight is dropped with its
+// waiters: a completion bound to the slab must not reach the next level
+// that takes it, so whatever downstream still holds one of this level's
+// fills (a lower level's MSHR, a controller queue) must be recycled or
+// dropped with it. The level must not be used again: its storage is gone,
+// so any access panics. Recycling a level twice is a no-op.
 func (c *Cache) Recycle() {
-	ws := c.ways
-	if ws == nil {
+	ls := c.state
+	if ls == nil {
 		return
 	}
-	c.ways = nil
-	c.keys, c.dirty, c.lru, c.clock, c.rrpv, c.inFlight = nil, nil, nil, nil, nil, nil
-	shape := wayShape{c.cfg.Sets, c.cfg.Ways, c.cfg.Repl}
-	spareWays.Lock()
-	spareWays.byShape[shape] = append(spareWays.byShape[shape], ws)
-	spareWays.Unlock()
+	for i := range ls.mshrs {
+		m := &ls.mshrs[i]
+		clear(m.waiters)
+		m.line, m.waiters, m.write, m.next = 0, m.waiters[:0], false, 0
+	}
+	ls.level = nil
+	ls.targets = c.targets[:0] // keep the buffer Access grew
+	if c.prefetcher != nil {
+		c.prefetcher.recycle()
+		c.prefetcher = nil
+	}
+	c.state = nil
+	c.keys, c.dirty, c.lru, c.clock, c.rrpv = nil, nil, nil, nil, nil
+	c.mshrs, c.free, c.inFlight, c.targets = nil, nil, nil, nil
+	spareLevels.Put(levelShape{c.cfg.Sets, c.cfg.Ways, c.cfg.Repl, c.cfg.MSHRs}, ls)
 }
 
 // New builds a cache level over the given downstream fetcher.
@@ -227,27 +251,25 @@ func New(cfg Config, next Fetcher) (*Cache, error) {
 		return nil, fmt.Errorf("cache %s: unknown replacement policy %d", cfg.Name, int(cfg.Repl))
 	}
 	n := cfg.Sets * cfg.Ways
-	ws := takeWays(wayShape{cfg.Sets, cfg.Ways, cfg.Repl})
+	ls := takeLevel(levelShape{cfg.Sets, cfg.Ways, cfg.Repl, cfg.MSHRs})
 	c := &Cache{
 		cfg:      cfg,
 		setShift: uint(bits.TrailingZeros(uint(cfg.Sets))),
 		next:     next,
-		keys:     ws.keys,
-		dirty:    ws.dirty,
-		mshrs:    make([]mshr, cfg.MSHRs),
-		free:     make([]int, cfg.MSHRs),
-		inFlight: ws.inFlight,
-		ways:     ws,
+		keys:     ls.keys,
+		dirty:    ls.dirty,
+		mshrs:    ls.mshrs,
+		free:     ls.free,
+		inFlight: ls.inFlight,
+		targets:  ls.targets,
+		state:    ls,
 	}
 	if cfg.Repl == LRU {
-		c.lru, c.clock = ws.meta[:n:n], ws.meta[n:]
+		c.lru, c.clock = ls.meta[:n:n], ls.meta[n:]
 	} else {
-		c.rrpv = ws.meta
+		c.rrpv = ls.meta
 	}
-	for i := range c.mshrs {
-		c.mshrs[i].fill = func(at ticks.T) { c.fill(i, at) }
-		c.free[i] = len(c.mshrs) - 1 - i // slot 0 on top
-	}
+	ls.level = c
 	return c, nil
 }
 

@@ -1,6 +1,10 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"pracsim/internal/spare"
+)
 
 // IPStride is the instruction-pointer stride prefetcher the paper attaches
 // to the L1 data cache (Table 3). It tracks, per instruction address, the
@@ -21,7 +25,15 @@ type ipEntry struct {
 	valid    bool
 }
 
-// NewIPStride builds a prefetcher with a power-of-two table size.
+// strideShape identifies the prefetchers that can share a table.
+type strideShape struct{ tableSize, degree int }
+
+// spareStrides holds recycled prefetchers, a stack per shape.
+var spareStrides = spare.New[strideShape, *IPStride]("cache.ipstride")
+
+// NewIPStride builds a prefetcher with a power-of-two table size. It
+// takes the table of a recycled prefetcher of the same shape, cleared,
+// if there is one.
 func NewIPStride(tableSize, degree int) (*IPStride, error) {
 	if tableSize <= 0 || tableSize&(tableSize-1) != 0 {
 		return nil, fmt.Errorf("cache: IP-stride table size (%d) must be a positive power of two", tableSize)
@@ -29,11 +41,21 @@ func NewIPStride(tableSize, degree int) (*IPStride, error) {
 	if degree <= 0 {
 		return nil, fmt.Errorf("cache: IP-stride degree must be positive, got %d", degree)
 	}
+	if p, ok := spareStrides.Take(strideShape{tableSize, degree}); ok {
+		clear(p.entries)
+		return p, nil
+	}
 	return &IPStride{
 		entries: make([]ipEntry, tableSize),
 		mask:    uint64(tableSize - 1),
 		degree:  degree,
 	}, nil
+}
+
+// recycle hands the prefetcher to the next NewIPStride of its shape. It
+// must not be used again.
+func (p *IPStride) recycle() {
+	spareStrides.Put(strideShape{len(p.entries), p.degree}, p)
 }
 
 // Observe records a demand access and appends the lines to prefetch to

@@ -9,6 +9,7 @@ package cpu
 import (
 	"fmt"
 
+	"pracsim/internal/spare"
 	"pracsim/internal/ticks"
 	"pracsim/internal/trace"
 )
@@ -85,13 +86,15 @@ type Core struct {
 	runs   runStream // stream, when it hands over non-memory runs
 	mem    MemPort
 
-	rob   []robEntry
+	rob   []robEntry // a ring: head is the oldest entry, count are live
 	head  int
 	count int
 
 	// loadDone[i] completes the load in ROB slot i. The funcs are bound
-	// once in New, so dispatching (or retrying) a load allocates nothing.
+	// once per robState, so dispatching (or retrying) a load allocates
+	// nothing.
 	loadDone []func(at ticks.T)
+	robs     *robState // owns rob and loadDone; nil once recycled
 
 	stalled    trace.Record // the refused instruction, valid while hasStalled
 	hasStalled bool
@@ -99,12 +102,50 @@ type Core struct {
 
 	offset uint64 // address-space offset in cache lines
 	lines  uint64 // address-space size for wrapping
+	// wrapBelow is lines when offset < lines, else 0: a trace line below
+	// it relocates by one compare-and-subtract instead of a division.
+	wrapBelow uint64
 
 	lastTick  ticks.T               // previous Tick time, for idle-cycle crediting
 	waker     func(at ticks.T)      // wakes a parked clock when the ROB head's data returns
 	retrySlot func(ticks.T) ticks.T // next cycle a refused memory access can usefully retry
 
 	stats Stats
+}
+
+// robState is a core's reorder buffer and the load-completion closures
+// bound to its slots. Cores with the same ROB size hand it on through
+// spareROBs, so a process that builds core after core (an experiment
+// grid) binds the closures once per concurrently live core. The closures
+// complete into core, which New points at the core it builds.
+type robState struct {
+	rob      []robEntry
+	loadDone []func(at ticks.T)
+	core     *Core // the core the closures complete into; nil while spare
+}
+
+// spareROBs holds the reorder buffers of recycled cores, a stack per ROB
+// size.
+var spareROBs = spare.New[int, *robState]("cpu.rob")
+
+// newROBState allocates a ROB of size entries and binds its closures.
+func newROBState(size int) *robState {
+	rs := &robState{
+		rob:      make([]robEntry, size),
+		loadDone: make([]func(at ticks.T), size),
+	}
+	for slot := range rs.loadDone {
+		rs.loadDone[slot] = func(at ticks.T) {
+			c := rs.core
+			c.rob[slot].completeAt = at
+			// Waking matters only when this load gates retirement: a
+			// parked core's head cannot move, so slot identity is stable.
+			if c.waker != nil && slot == c.head {
+				c.waker(at)
+			}
+		}
+	}
+	return rs
 }
 
 // New builds a core reading from stream and accessing memory through mem.
@@ -121,29 +162,46 @@ func New(id int, cfg Config, stream trace.Stream, mem MemPort, offset, lines uin
 	if lines == 0 {
 		return nil, fmt.Errorf("cpu: core %d has an empty address space", id)
 	}
+	rs, ok := spareROBs.Take(cfg.ROBSize)
+	if ok {
+		clear(rs.rob)
+	} else {
+		rs = newROBState(cfg.ROBSize)
+	}
 	c := &Core{
 		id:       id,
 		cfg:      cfg,
 		stream:   stream,
 		mem:      mem,
-		rob:      make([]robEntry, cfg.ROBSize),
-		loadDone: make([]func(at ticks.T), cfg.ROBSize),
+		rob:      rs.rob,
+		loadDone: rs.loadDone,
+		robs:     rs,
 		offset:   offset,
 		lines:    lines,
 		lastTick: -CyclePeriod,
 	}
-	c.runs, _ = stream.(runStream)
-	for slot := range c.loadDone {
-		c.loadDone[slot] = func(at ticks.T) {
-			c.rob[slot].completeAt = at
-			// Waking matters only when this load gates retirement: a
-			// parked core's head cannot move, so slot identity is stable.
-			if c.waker != nil && slot == c.head {
-				c.waker(at)
-			}
-		}
+	if offset < lines {
+		c.wrapBelow = lines
 	}
+	c.runs, _ = stream.(runStream)
+	rs.core = c
 	return c, nil
+}
+
+// Recycle hands the core's reorder buffer and its load-completion
+// closures to the next New with the same ROB size. A closure still held
+// downstream (an MSHR waiter) would complete into that next core, so
+// whatever holds the core's loads must be recycled or dropped with it.
+// The core must not be used again: Tick and NextWork panic. Recycling a
+// core twice is a no-op.
+func (c *Core) Recycle() {
+	rs := c.robs
+	if rs == nil {
+		return
+	}
+	rs.core = nil
+	c.robs, c.rob, c.loadDone = nil, nil, nil
+	spareROBs.Put(len(rs.rob), rs)
 }
 
 // ID reports the core's index.
@@ -187,6 +245,9 @@ func (c *Core) SyncClock(now ticks.T) { c.lastTick = now - CyclePeriod }
 // counted — one Cycle each, and one StallCycle each while the stream has
 // instructions left.
 func (c *Core) Tick(now ticks.T) {
+	if c.rob == nil {
+		panic("cpu: core used after Recycle")
+	}
 	if gap := now - c.lastTick; gap > CyclePeriod {
 		idle := int64((gap - CyclePeriod) / CyclePeriod)
 		c.stats.Cycles += idle
@@ -210,6 +271,9 @@ func (c *Core) Tick(now ticks.T) {
 // cycle strictly before the reported time is provably a no-op, so a
 // demand-driven clock may skip it and credit it via the Tick gap.
 func (c *Core) NextWork(now ticks.T) ticks.T {
+	if c.rob == nil {
+		panic("cpu: core used after Recycle")
+	}
 	retireAt := ticks.Never
 	if c.count > 0 {
 		if h := c.rob[c.head].completeAt; h != pendingCompletion {
@@ -243,7 +307,9 @@ func (c *Core) retire(now ticks.T) {
 		if e.completeAt == pendingCompletion || e.completeAt > now {
 			return
 		}
-		c.head = (c.head + 1) % len(c.rob)
+		if c.head++; c.head == len(c.rob) {
+			c.head = 0
+		}
 		c.count--
 		c.stats.Instructions++
 	}
@@ -259,8 +325,12 @@ func (c *Core) issue(now ticks.T) {
 			// Non-memory records always dispatch, so a run of them
 			// fills its slots in one step.
 			if k := c.runs.SkipNonMem(min(c.cfg.IssueWidth-n, len(c.rob)-c.count)); k > 0 {
-				for i := 0; i < k; i++ {
-					c.rob[(c.head+c.count+i)%len(c.rob)].completeAt = now + CyclePeriod
+				slot := c.tail()
+				for range k {
+					c.rob[slot].completeAt = now + CyclePeriod
+					if slot++; slot == len(c.rob) {
+						slot = 0
+					}
 				}
 				c.count += k
 				n += k - 1
@@ -302,14 +372,14 @@ func (c *Core) nextRecord() (trace.Record, bool) {
 // dispatch places one instruction into the ROB. It reports false when the
 // memory system refused the access (the instruction must retry next cycle).
 func (c *Core) dispatch(rec trace.Record, now ticks.T) bool {
-	slot := (c.head + c.count) % len(c.rob)
+	slot := c.tail()
 	e := &c.rob[slot]
 	if !rec.IsMem {
 		e.completeAt = now + CyclePeriod
 		c.count++
 		return true
 	}
-	line := (rec.Line + c.offset) % c.lines
+	line := c.relocate(rec.Line)
 	if rec.Write {
 		// Stores retire without waiting: the store buffer posts them.
 		if !c.mem.Access(line, true, rec.PC, now, nil) {
@@ -327,4 +397,28 @@ func (c *Core) dispatch(rec trace.Record, now ticks.T) bool {
 	c.count++
 	c.stats.Loads++
 	return true
+}
+
+// tail returns the ROB slot the next dispatched instruction takes. The
+// ROB must not be full, so head+count wraps at most once.
+func (c *Core) tail() int {
+	slot := c.head + c.count
+	if slot >= len(c.rob) {
+		slot -= len(c.rob)
+	}
+	return slot
+}
+
+// relocate returns (line+offset) mod lines, the sum taken mod 2^64. When
+// line and offset are both below lines, the sum wraps past lines at most
+// once (a sum that overflows 2^64 lands below lines), so one
+// compare-and-subtract replaces the division.
+func (c *Core) relocate(line uint64) uint64 {
+	if line >= c.wrapBelow {
+		return (line + c.offset) % c.lines
+	}
+	if line += c.offset; line >= c.lines {
+		line -= c.lines
+	}
+	return line
 }

@@ -2,7 +2,8 @@ package dram
 
 import (
 	"math/bits"
-	"sync"
+
+	"pracsim/internal/spare"
 )
 
 // counterSlot is one entry of a rowCounters table: key is row+1, so the
@@ -137,29 +138,14 @@ func (t *rowCounters) recycle() {
 }
 
 // spareSlots holds recycled counter tables, a stack per power-of-two
-// size: spareSlots.bySize[k] holds tables of 1<<k slots. Stacking slice
-// headers in slices of a fixed array keeps a put free of allocations once
-// a size's stack has reached the number of tables of that size ever
-// spare at once, which also bounds what the stacks retain.
-var spareSlots struct {
-	sync.Mutex
-	bySize [bits.UintSize][][]counterSlot
-}
+// size, keyed by log2 of the size.
+var spareSlots = spare.New[int, []counterSlot]("dram.counters")
 
 // takeSlots returns n zeroed slots (n a power of two), recycled if a
 // table of that size was put back earlier.
 func takeSlots(n int) []counterSlot {
-	k := bits.TrailingZeros(uint(n))
-	spareSlots.Lock()
-	stack := spareSlots.bySize[k]
-	var slots []counterSlot
-	if m := len(stack); m > 0 {
-		slots = stack[m-1]
-		stack[m-1] = nil
-		spareSlots.bySize[k] = stack[:m-1]
-	}
-	spareSlots.Unlock()
-	if slots == nil {
+	slots, ok := spareSlots.Take(bits.TrailingZeros(uint(n)))
+	if !ok {
 		return make([]counterSlot, n)
 	}
 	clear(slots)
@@ -168,11 +154,7 @@ func takeSlots(n int) []counterSlot {
 
 // putSlots recycles a table; a nil table is ignored.
 func putSlots(slots []counterSlot) {
-	if slots == nil {
-		return
+	if slots != nil {
+		spareSlots.Put(bits.TrailingZeros(uint(len(slots))), slots)
 	}
-	k := bits.TrailingZeros(uint(len(slots)))
-	spareSlots.Lock()
-	spareSlots.bySize[k] = append(spareSlots.bySize[k], slots)
-	spareSlots.Unlock()
 }

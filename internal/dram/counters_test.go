@@ -2,9 +2,11 @@ package dram
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 
+	"pracsim/internal/spare"
 	"pracsim/internal/ticks"
 )
 
@@ -188,15 +190,11 @@ func TestRecycledCountersMatchFresh(t *testing.T) {
 		}
 	}
 	// Grow the reference on fresh slots: set the spare tables aside.
-	spareSlots.Lock()
-	spare := spareSlots.bySize
-	spareSlots.bySize = [len(spare)][][]counterSlot{}
-	spareSlots.Unlock()
+	saved := spareSlots
+	spareSlots = spare.New[int, []counterSlot]("dram.counters set aside")
 	var fresh rowCounters
 	stream(&fresh, 2)
-	spareSlots.Lock()
-	spareSlots.bySize = spare
-	spareSlots.Unlock()
+	spareSlots = saved
 	for seed := int64(3); seed < 6; seed++ {
 		var dirty rowCounters
 		stream(&dirty, seed)
@@ -253,4 +251,44 @@ func panics(f func()) (did bool) {
 	defer func() { did = recover() != nil }()
 	f()
 	return false
+}
+
+// TestRecycledModuleMatchesFresh builds a module on the banks of one
+// recycled with rows open, counts and single-entry queues filled and a
+// rank refreshing, and checks that it equals a freshly allocated module
+// field for field, queues included. The organization is one no other
+// test builds, so the fresh module really allocates.
+func TestRecycledModuleMatchesFresh(t *testing.T) {
+	cfg := smallConfig(1 << 30)
+	cfg.Org.BanksPerGroup = 3
+	old := MustNew(cfg)
+	now := ticks.T(0)
+	for i := range 40 {
+		now = hammerOne(old, i%6, i%5, now)
+	}
+	old.Issue(Cmd{Kind: CmdACT, Bank: 2, Row: 4}, now+old.Config().Timing.TRP)
+	var queued int
+	for i := range old.banks {
+		if q := old.banks[i].queue.(*singleEntryQueue); q.valid {
+			queued++
+		}
+	}
+	if queued == 0 || old.banks[2].state != bankActive {
+		t.Fatalf("dirty module left fresh state: %d queues hold a row, bank 2 state %d", queued, old.banks[2].state)
+	}
+	old.rankBlockedUntil[0] = now // as a REFab in flight leaves it
+	st := old.state
+	old.Recycle()
+	recycled, fresh := MustNew(cfg), MustNew(cfg)
+	if recycled.state != st {
+		t.Fatal("New after Recycle allocated instead of taking the recycled banks")
+	}
+	if fresh.state == st {
+		t.Fatal("two modules share banks")
+	}
+	g, w := *recycled, *fresh
+	g.state, w.state = nil, nil
+	if !reflect.DeepEqual(g, w) {
+		t.Errorf("recycled module differs from a fresh one:\n got %+v\nwant %+v", g, w)
+	}
 }

@@ -3,6 +3,7 @@ package dram
 import (
 	"fmt"
 
+	"pracsim/internal/spare"
 	"pracsim/internal/ticks"
 )
 
@@ -99,6 +100,7 @@ type bank struct {
 type Module struct {
 	cfg   Config
 	banks []bank
+	state *moduleState // owns banks and rankBlockedUntil; nil once recycled
 
 	rankBlockedUntil    []ticks.T // REFab in flight
 	channelBlockedUntil ticks.T   // RFMab in flight
@@ -115,35 +117,70 @@ type Module struct {
 	stats Stats
 }
 
+// moduleState is the storage behind a module's banks. Modules of one
+// organization hand it on through spareModules, so a process that builds
+// module after module (an experiment grid) allocates it once per
+// concurrently live module.
+type moduleState struct {
+	banks            []bank
+	single           []singleEntryQueue // the banks' queues under QueueSingleEntry
+	rankBlockedUntil []ticks.T
+}
+
+// moduleShape identifies the modules that can share a moduleState.
+type moduleShape struct{ banks, ranks int }
+
+// spareModules holds the bank storage of recycled modules.
+var spareModules = spare.New[moduleShape, *moduleState]("dram.banks")
+
 // New builds a module from a validated configuration.
 func New(cfg Config) (*Module, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	shape := moduleShape{cfg.Org.Banks(), cfg.Org.Ranks}
+	st, ok := spareModules.Take(shape)
+	if !ok {
+		st = &moduleState{
+			banks:            make([]bank, shape.banks),
+			single:           make([]singleEntryQueue, shape.banks),
+			rankBlockedUntil: make([]ticks.T, shape.ranks),
+		}
+	}
 	m := &Module{
 		cfg:              cfg,
-		banks:            make([]bank, cfg.Org.Banks()),
-		rankBlockedUntil: make([]ticks.T, cfg.Org.Ranks),
+		banks:            st.banks,
+		rankBlockedUntil: st.rankBlockedUntil,
+		state:            st,
 		alertArmed:       true,
 		nextCounterReset: cfg.Timing.TREFW,
 	}
 	for i := range m.banks {
 		b := &m.banks[i]
 		b.rank = cfg.Org.RankOf(i)
-		b.queue = newQueue(cfg, &b.counters)
+		b.queue = newQueue(cfg, &b.counters, &st.single[i])
 	}
 	return m, nil
 }
 
 // Recycle hands every bank's PRAC counter table to the next tables of the
-// same size. The module must not be used again: its banks are gone, so
-// any command or counter read panics. Recycling a module twice is a
-// no-op.
+// same size, and the banks, their single-entry queues and the rank state
+// to the next module of the same organization, all cleared. The module
+// must not be used again: its banks are gone, so any command or counter
+// read panics. Recycling a module twice is a no-op.
 func (m *Module) Recycle() {
+	st := m.state
+	if st == nil {
+		return
+	}
 	for i := range m.banks {
 		m.banks[i].counters.recycle()
 	}
-	m.banks, m.rankBlockedUntil = nil, nil
+	clear(st.banks)
+	clear(st.single)
+	clear(st.rankBlockedUntil)
+	m.banks, m.rankBlockedUntil, m.state = nil, nil, nil
+	spareModules.Put(moduleShape{len(st.banks), len(st.rankBlockedUntil)}, st)
 }
 
 // MustNew is New but panics on configuration errors; intended for tests and

@@ -26,8 +26,6 @@ type singleEntryQueue struct {
 	valid bool
 }
 
-func newSingleEntryQueue() *singleEntryQueue { return &singleEntryQueue{} }
-
 func (q *singleEntryQueue) Observe(row int, count uint32) {
 	if !q.valid || count > q.count || row == q.row {
 		q.row, q.count, q.valid = row, count, true
@@ -179,11 +177,12 @@ func (q *idealQueue) PopVictim() (int, bool) {
 func (q *idealQueue) Clear() {}
 
 // newQueue builds the queue implementation selected by the configuration.
-// counters is the owning bank's live counter table, used by the ideal design.
-func newQueue(cfg Config, counters *rowCounters) MitigationQueue {
+// counters is the owning bank's live counter table, used by the ideal
+// design; single is the zeroed storage of the single-entry design.
+func newQueue(cfg Config, counters *rowCounters, single *singleEntryQueue) MitigationQueue {
 	switch cfg.Queue {
 	case QueueSingleEntry:
-		return newSingleEntryQueue()
+		return single
 	case QueuePriority:
 		return newPriorityQueue(cfg.QueueDepth)
 	case QueueFIFO:

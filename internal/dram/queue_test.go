@@ -7,7 +7,7 @@ import (
 )
 
 func TestSingleEntryQueueTracksHottest(t *testing.T) {
-	q := newSingleEntryQueue()
+	q := &singleEntryQueue{}
 	q.Observe(5, 1)
 	q.Observe(7, 3)
 	q.Observe(5, 2) // row 5 is now at 2, still colder than row 7
@@ -20,7 +20,7 @@ func TestSingleEntryQueueTracksHottest(t *testing.T) {
 }
 
 func TestSingleEntryQueueUpdatesOwnRow(t *testing.T) {
-	q := newSingleEntryQueue()
+	q := &singleEntryQueue{}
 	q.Observe(3, 10)
 	q.Observe(3, 11) // same row keeps its slot even without exceeding others
 	if row, ok := q.PopVictim(); !ok || row != 3 {
@@ -29,7 +29,7 @@ func TestSingleEntryQueueUpdatesOwnRow(t *testing.T) {
 }
 
 func TestSingleEntryQueueClear(t *testing.T) {
-	q := newSingleEntryQueue()
+	q := &singleEntryQueue{}
 	q.Observe(1, 100)
 	q.Clear()
 	if _, ok := q.PopVictim(); ok {
@@ -43,7 +43,7 @@ func TestSingleEntryQueueClear(t *testing.T) {
 func TestSingleEntryQueueHoldsMaxProperty(t *testing.T) {
 	prop := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		q := newSingleEntryQueue()
+		q := &singleEntryQueue{}
 		counts := map[int]uint32{}
 		for i := 0; i < int(n)+1; i++ {
 			row := rng.Intn(8)
@@ -211,7 +211,7 @@ func TestNewQueueSelectsKind(t *testing.T) {
 		cfg := DefaultConfig(1024)
 		cfg.Queue = c.kind
 		cfg.QueueDepth = 4
-		q := newQueue(cfg, counters)
+		q := newQueue(cfg, counters, &singleEntryQueue{})
 		if got := typeName(q); got != c.want {
 			t.Errorf("newQueue(%v) = %s, want %s", c.kind, got, c.want)
 		}

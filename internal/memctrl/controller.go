@@ -5,6 +5,7 @@ import (
 
 	"pracsim/internal/dram"
 	"pracsim/internal/mitigation"
+	"pracsim/internal/spare"
 	"pracsim/internal/ticks"
 )
 
@@ -121,8 +122,34 @@ type Controller struct {
 	// SetWaker) so a demand-driven clock can pull its next tick forward.
 	waker func(now ticks.T)
 
+	state *ctrlState // owns the queues, tables and writeLines; nil once recycled
+
 	stats Stats
 }
+
+// ctrlState is the storage behind a controller's queues, per-rank and
+// per-bank tables and forwarding index. Controllers of one shape hand it
+// on through spareCtrls, so a process that builds controller after
+// controller (an experiment grid) allocates it once per concurrently
+// live controller.
+type ctrlState struct {
+	readQ, writeQ []Request
+	nextRefAt     []ticks.T
+	refDebt       []int
+	refCount      []int64
+	pbPending     []int
+	hitStreak     []int
+	bankRank      []int
+	triedBank     []uint64
+	writeLines    map[uint64]int
+}
+
+// ctrlShape identifies the controllers that can share a ctrlState.
+type ctrlShape struct{ readCap, writeCap, ranks, banks int }
+
+// spareCtrls holds the storage of recycled controllers, a stack per
+// shape.
+var spareCtrls = spare.New[ctrlShape, *ctrlState]("memctrl")
 
 // New builds a controller over a DRAM module.
 func New(cfg Config, mod *dram.Module, mapper AddressMapper, policy mitigation.Policy) (*Controller, error) {
@@ -137,21 +164,38 @@ func New(cfg Config, mod *dram.Module, mapper AddressMapper, policy mitigation.P
 	}
 	dcfg := mod.Config()
 	org := dcfg.Org
+	shape := ctrlShape{cfg.ReadQueueCap, cfg.WriteQueueCap, org.Ranks, org.Banks()}
+	st, ok := spareCtrls.Take(shape)
+	if !ok {
+		st = &ctrlState{
+			readQ:      make([]Request, 0, shape.readCap),
+			writeQ:     make([]Request, 0, shape.writeCap),
+			nextRefAt:  make([]ticks.T, shape.ranks),
+			refDebt:    make([]int, shape.ranks),
+			refCount:   make([]int64, shape.ranks),
+			hitStreak:  make([]int, shape.banks),
+			bankRank:   make([]int, shape.banks),
+			triedBank:  make([]uint64, shape.banks),
+			writeLines: make(map[uint64]int),
+		}
+	}
 	c := &Controller{
 		cfg:        cfg,
 		mod:        mod,
 		dcfg:       dcfg,
 		mapper:     mapper,
 		policy:     policy,
-		readQ:      make([]Request, 0, cfg.ReadQueueCap),
-		writeQ:     make([]Request, 0, cfg.WriteQueueCap),
-		nextRefAt:  make([]ticks.T, org.Ranks),
-		refDebt:    make([]int, org.Ranks),
-		refCount:   make([]int64, org.Ranks),
-		hitStreak:  make([]int, org.Banks()),
-		bankRank:   make([]int, org.Banks()),
-		triedBank:  make([]uint64, org.Banks()),
-		writeLines: make(map[uint64]int),
+		readQ:      st.readQ,
+		writeQ:     st.writeQ,
+		nextRefAt:  st.nextRefAt,
+		refDebt:    st.refDebt,
+		refCount:   st.refCount,
+		pbPending:  st.pbPending,
+		hitStreak:  st.hitStreak,
+		bankRank:   st.bankRank,
+		triedBank:  st.triedBank,
+		writeLines: st.writeLines,
+		state:      st,
 	}
 	c.pbPolicy, _ = policy.(mitigation.PerBankPolicy)
 	for b := range c.bankRank {
@@ -163,6 +207,31 @@ func New(cfg Config, mod *dram.Module, mapper AddressMapper, policy mitigation.P
 		c.nextRefAt[r] = dcfg.Timing.TREFI * ticks.T(r+1) / ticks.T(org.Ranks)
 	}
 	return c, nil
+}
+
+// Recycle hands the controller's queues and tables to the next New of
+// the same shape, cleared. Every queued request is dropped with its
+// completion, so a completion bound to a recycled cache level cannot
+// run. The controller must not be used again: its module, mapper and
+// storage are gone, so Enqueue, Tick and NextWork panic. Recycling a
+// controller twice is a no-op.
+func (c *Controller) Recycle() {
+	st := c.state
+	if st == nil {
+		return
+	}
+	st.readQ = c.readQ[:0]
+	st.writeQ = c.writeQ[:0]
+	st.pbPending = c.pbPending[:0] // keep the buffer DuePerBank grew
+	clear(st.readQ[:cap(st.readQ)])
+	clear(st.writeQ[:cap(st.writeQ)])
+	clear(st.refDebt)
+	clear(st.refCount)
+	clear(st.hitStreak)
+	clear(st.triedBank)
+	clear(st.writeLines)
+	*c = Controller{cfg: c.cfg, dcfg: c.dcfg, policy: c.policy, stats: c.stats}
+	spareCtrls.Put(ctrlShape{cap(st.readQ), cap(st.writeQ), len(st.refDebt), len(st.hitStreak)}, st)
 }
 
 // Stats returns a snapshot of controller counters.

@@ -173,10 +173,10 @@ func checkTagWidth(lines uint64, prefetch bool, levels ...cache.Config) error {
 }
 
 // Execute builds a System from cfg, runs warmup then measured
-// instructions on it (see Run), and recycles the System's cache way
-// state and PRAC counter tables whether or not the run succeeds, so the
-// next System of the same shape reuses them instead of allocating. It
-// is the one path the experiment runners use to execute a simulation.
+// instructions on it (see Run), and recycles the System's per-run
+// storage whether or not the run succeeds, so the next System of the
+// same shape reuses it instead of allocating. It is the one path the
+// experiment runners use to execute a simulation.
 func Execute(cfg SystemConfig, warmup, measured int64) (RunResult, error) {
 	sys, err := NewSystem(cfg)
 	if err != nil {
@@ -186,16 +186,20 @@ func Execute(cfg SystemConfig, warmup, measured int64) (RunResult, error) {
 	return sys.Run(warmup, measured)
 }
 
-// recycle hands the System's cache way state and PRAC counter tables to
-// later Systems. The System must not be used again.
+// recycle hands the System's per-run storage to later Systems: the
+// controller's queues and tables, each cache level's way state, MSHR
+// slab and prefetcher table, each core's reorder buffer and the DRAM
+// banks with their PRAC counter tables. Each component drops the
+// completions it still holds, so nothing of this System's runs once
+// another System takes its storage. The System must not be used again.
 func (s *System) recycle() {
-	for _, c := range s.L1s {
-		c.Recycle()
-	}
-	for _, c := range s.L2s {
-		c.Recycle()
-	}
+	s.Ctrl.Recycle()
 	s.LLC.Recycle()
+	for i := range s.Cores {
+		s.L2s[i].Recycle()
+		s.L1s[i].Recycle()
+		s.Cores[i].Recycle()
+	}
 	s.Mod.Recycle()
 }
 
